@@ -32,18 +32,18 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.corpus.match.learners import BaseLearner, ElementSample
-from repro.runtime import SerialRuntime
+from repro.runtime import ExecutionRuntime, SerialRuntime
 
 _RRF_K = 1.0
 
 
 def _score_learner(task):
-    """One learner's batched scoring — the parallel fan-out work unit.
+    """One learner's batched scoring — the fan-out work unit.
 
     Module-level (not a closure) so a :class:`~repro.runtime.
-    ProcessPoolRuntime` can pickle it for CPU-bound fan-out; thread
-    pools call it on the shared learner objects directly.  Returns the
-    distributions plus the scoring time so the per-learner timing
+    ProcessPoolRuntime` can pickle it for CPU-bound fan-out; in-process
+    runtimes call it on the shared learner objects directly.  Returns
+    the distributions plus the scoring time so the per-learner timing
     histograms can be recorded by the coordinating thread.
     """
     learner, samples, labels = task
@@ -109,7 +109,7 @@ class MetaLearner:
         learners: list[BaseLearner],
         stack_fraction: float = 0.33,
         obs: "_obs.Observability | None" = None,
-        runtime: "SerialRuntime | None" = None,
+        runtime: "ExecutionRuntime | None" = None,
     ):  # noqa: D107
         if not learners:
             raise ValueError("MetaLearner needs at least one base learner")
@@ -305,27 +305,20 @@ class MetaLearner:
         blocking).  With ``labels=None`` the output is bitwise
         identical to per-sample :meth:`predict`.
 
-        With a concurrent runtime the learners are scored on the
-        worker pool — each learner's output depends only on its own
-        trained state, so the combined distributions are identical to
-        the serial order (``tests/test_runtime.py`` pins it bitwise).
-        Weights are refreshed *before* the fan-out, on the calling
-        thread, so workers see frozen learner state.
+        One runtime task per learner — each learner's output depends
+        only on its own trained state, so the combined distributions
+        do not depend on the runtime (``tests/test_runtime.py`` pins it
+        bitwise).  Weights are refreshed *before* the fan-out, on the
+        calling thread, so tasks see frozen learner state.
         """
         self._refresh_weights()
+        tasks = [(learner, samples, labels) for learner in self.learners]
         per_learner = []
-        if self.runtime.concurrent and len(self.learners) > 1:
-            tasks = [(learner, samples, labels) for learner in self.learners]
-            for (distributions, ms), timer in zip(
-                self.runtime.map(_score_learner, tasks), self._learner_timers
-            ):
-                per_learner.append(distributions)
-                timer.observe(ms)
-        else:
-            for learner, timer in zip(self.learners, self._learner_timers):
-                started = perf_counter()
-                per_learner.append(learner.predict_batch(samples, labels))
-                timer.observe((perf_counter() - started) * 1000.0)
+        for (distributions, ms), timer in zip(
+            self.runtime.map(_score_learner, tasks), self._learner_timers
+        ):
+            per_learner.append(distributions)
+            timer.observe(ms)
         if labels is None:
             combine_labels = self.labels
         else:

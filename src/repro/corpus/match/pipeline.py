@@ -47,7 +47,7 @@ from repro.corpus.match.lsd import default_learners
 from repro.corpus.match.meta import MetaLearner
 from repro.corpus.model import Corpus, CorpusSchema
 from repro.corpus.stats import BasicStatistics, StatisticsOptions
-from repro.runtime import SerialRuntime
+from repro.runtime import ExecutionRuntime, SerialRuntime
 from repro.text import SynonymTable
 
 
@@ -70,15 +70,16 @@ class CorpusMatchPipeline:
         threshold: float = 0.0,
         one_to_one: bool = False,
         obs: "_obs.Observability | None" = None,
-        runtime: "SerialRuntime | None" = None,
+        runtime: "ExecutionRuntime | None" = None,
     ):  # noqa: D107
         self.mediated = mediated
         self.obs = obs or _obs.default()
-        # Fan-out runtime (ISSUE 9): per-learner scoring inside
-        # predict_batch always routes through it; match_corpus
-        # additionally fans out across sources when it supports
-        # closures (thread pools).  Serial oracle by default.
+        # Fan-out runtime (ISSUE 9).  Per-learner scoring ships
+        # picklable work units, so the MetaLearner gets it as given;
+        # match_corpus's per-source tasks are closures, so a process
+        # pool resolves to a serial runtime for them, once.
         self.runtime = runtime or SerialRuntime(obs=self.obs)
+        self._source_runtime = self.runtime.for_closures()
         self.meta = MetaLearner(
             learners or default_learners(synonyms),
             obs=self.obs,
@@ -260,39 +261,28 @@ class CorpusMatchPipeline:
         """Predict mappings for every schema in ``corpus`` — the
         paper's "predict mappings for subsequent data sources", plural.
 
-        Under a concurrent runtime the sources are scored in parallel
-        (each worker runs the full :meth:`match_source` path; the
-        nested per-learner fan-out degrades to inline on worker
-        threads).  Stacking weights are frozen up front so every
-        worker scores against identical state, and results are
-        reassembled in corpus order — output is identical to the
-        serial path.
+        One runtime task per source, each the full :meth:`match_source`
+        path (its nested per-learner fan-out runs inline on pool
+        workers).  Stacking weights are frozen up front so every task
+        scores against identical state, and results are reassembled in
+        corpus order — the output does not depend on the runtime.  An
+        empty corpus is ``{}``, trained or not.
         """
         names = list(corpus.schemas)
-        # One covering span for the whole corpus: under a concurrent
-        # runtime the workers' match.source spans re-parent here (via
-        # the captured trace context) instead of becoming orphan roots.
+        # One covering span for the whole corpus: pool workers'
+        # match.source spans re-parent here (via the captured trace
+        # context) instead of becoming orphan roots.
         with self.obs.tracer.span(
-            "match.corpus", sources=len(names), workers=self.runtime.workers
+            "match.corpus", sources=len(names), workers=self._source_runtime.workers
         ):
-            if (
-                self.runtime.concurrent
-                and self.runtime.supports_closures
-                and len(names) > 1
-            ):
-                self._require_training()
-                self.meta.freeze_weights()
-                results = self.runtime.map(
-                    lambda name: self.match_source(
-                        corpus.schemas[name], blocking=blocking
-                    ),
-                    names,
-                )
-                return dict(zip(names, results))
-            return {
-                name: self.match_source(schema, blocking=blocking)
-                for name, schema in corpus.schemas.items()
-            }
+            self.meta.freeze_weights()
+            results = self._source_runtime.map(
+                lambda name: self.match_source(
+                    corpus.schemas[name], blocking=blocking
+                ),
+                names,
+            )
+            return dict(zip(names, results))
 
     # -- introspection ---------------------------------------------------------
     def stats_snapshot(self) -> dict:

@@ -12,19 +12,19 @@ nodes").  The executor here:
   :class:`ExecutionStats` records messages, tuples and latency once per
   peer, not once per relation (the pre-scale per-relation path survives
   as :meth:`DistributedExecutor.execute_brute_force`);
-* **fans out per peer** (ISSUE 9): with a concurrent
-  :mod:`repro.runtime` installed (``runtime=ThreadPoolRuntime(N)``),
-  the already-batched per-peer fetches are dispatched through the
-  runtime's worker pool and the network charges the batch its
-  *overlapped* cost
-  (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`
-  — makespan over N workers, not the serial sum).  Workers only
-  snapshot peer data; every stat, metric and network charge is applied
-  on the calling thread *after* the whole batch returns, in plan
-  order — so answers and message/byte accounting are identical to the
-  serial path (the C18 benchmark and ``tests/test_runtime.py`` assert
-  it) and a worker failing mid-fan-out propagates without leaving a
-  partially-applied :class:`ExecutionStats` or a half-charged network;
+* **fans out per peer** (ISSUE 9): the batched per-peer fetches are
+  tasks handed to the executor's :mod:`repro.runtime` — the default
+  :class:`~repro.runtime.SerialRuntime` runs them in order on the
+  calling thread, ``runtime=ThreadPoolRuntime(N)`` on N workers — and
+  the network charges the batch the makespan of that many workers
+  (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`:
+  the serial sum for one).  Tasks only snapshot peer data; every stat,
+  metric and network charge is applied on the calling thread *after*
+  the whole batch returns, in plan order — so answers and message/byte
+  accounting do not depend on the runtime (benchmark C18 and
+  ``tests/test_runtime.py`` assert it) and a task failing mid-fan-out
+  propagates without leaving a partially-applied
+  :class:`ExecutionStats` or a half-charged network;
 * evaluates the union with the shared-table hash join of
   :func:`repro.piazza.datalog.evaluate_union`, fetching only the
   relations the rewritings mention instead of materializing the global
@@ -62,7 +62,7 @@ from repro.piazza.datalog import (
 )
 from repro.piazza.network import SimulatedNetwork
 from repro.piazza.peer import PDMS, owner_of
-from repro.runtime import SerialRuntime
+from repro.runtime import ExecutionRuntime, SerialRuntime
 
 
 @dataclass
@@ -107,15 +107,15 @@ class DistributedExecutor:
         pdms: PDMS,
         network: SimulatedNetwork | None = None,
         obs: "_obs.Observability | None" = None,
-        runtime: "SerialRuntime | None" = None,
+        runtime: "ExecutionRuntime | None" = None,
     ):  # noqa: D107
         self.pdms = pdms
         self.obs = obs or pdms.obs
         self.network = network or SimulatedNetwork(obs=self.obs)
-        # The fan-out runtime: the serial oracle unless a concurrent
-        # one (ThreadPoolRuntime) is installed.  Closure-incapable
-        # runtimes (process pools) keep the serial fetch path.
-        self.runtime = runtime or SerialRuntime(obs=self.obs)
+        # The fan-out runtime (shared with any ViewServer built on this
+        # executor).  Fetch tasks are closures over live peers, so a
+        # process pool resolves to a serial runtime here, once.
+        self.runtime = (runtime or SerialRuntime(obs=self.obs)).for_closures()
         self._views: dict[tuple, MaterializedView] = {}
         # Metric handles cached once: the per-query hot path records
         # events with attribute adds, not registry lookups.
@@ -165,16 +165,16 @@ class DistributedExecutor:
     # -- execution -------------------------------------------------------------
     def _charge_fetch(self, stats: ExecutionStats, at_peer: str, owner: str,
                       payload: int, relations: int = 1) -> float:
-        """Charge one batched request/response fetch round trip.
+        """Charge one request/response fetch round trip on its own.
 
-        The single place a fetch is billed: two messages (request of
-        size 1, response of ``payload`` tuples), the simulated latency
-        added to ``stats``, the payload to ``tuples_shipped`` — plus a
-        ``execute.fetch`` span (child of the open execute span) and the
-        ``execute.*`` round-trip metrics.  Both the batched and the
-        brute-force executor route through here, so the cost model can
-        never drift between them (their stats differ only in how often
-        they call this).  Returns the round trip's simulated ms.
+        Two messages (request of size 1, response of ``payload``
+        tuples), the simulated latency added to ``stats``, the payload
+        to ``tuples_shipped`` — plus a ``execute.fetch`` span and the
+        ``execute.*`` round-trip metrics.  The brute-force executor and
+        :meth:`ViewServer.register <repro.piazza.serving.ViewServer.register>`'s
+        placement charge bill through here; :meth:`_fetch_batch` bills
+        the same messages at the same per-message cost as one batch.
+        Returns the round trip's simulated ms.
         """
         with self.obs.tracer.span(
             "execute.fetch", peer=owner, payload=payload, relations=relations
@@ -189,80 +189,69 @@ class DistributedExecutor:
         self._h_round_trip.observe(cost)
         return cost
 
-    def _fetch_concurrent(
-        self,
-        stats: ExecutionStats,
-        at_peer: str,
-        by_owner: dict,
-        remote: list,
+    def _snapshot(self, item) -> tuple[list, int]:
+        """One fetch task: copy a remote peer's extents (pure reads)."""
+        owner, predicates = item
+        with self.obs.tracer.span(
+            "execute.fetch", peer=owner, relations=len(predicates)
+        ) as span:
+            rows = [
+                (predicate, set(self._stored_tuples(predicate)))
+                for predicate in predicates
+            ]
+            payload = sum(len(tuples) for _, tuples in rows)
+            span.annotate(payload=payload)
+        return rows, payload
+
+    def _fetch_batch(
+        self, stats: ExecutionStats, at_peer: str, local: list, remote: list
     ) -> Instance:
-        """Dispatch the per-peer fetch batch through the runtime pool.
+        """Fetch the plan's relations: one runtime task per remote peer.
 
-        Workers only *snapshot* each remote peer's relation extents —
-        pure reads of independent peers, the simulated-I/O-bound half
-        of a fetch.  All shared-state mutation happens back on the
-        calling thread after the whole batch has returned, in plan
-        order: the fetched instance is merged deterministically, every
-        stat/metric is applied once, and the network records the same
-        request/response messages as the serial path but charges the
-        batch its overlapped cost (makespan over the runtime's
-        workers).  A worker raising therefore propagates before
-        anything — stats, metrics, network — has been touched, and the
-        pool stays reusable.
+        Tasks only *snapshot* each remote peer's relation extents — the
+        simulated-I/O-bound half of a fetch.  All shared-state mutation
+        happens back on the calling thread after the whole batch has
+        returned, in plan order: the fetched instance is merged, every
+        stat/metric is applied once, and the network records one
+        request/response pair per peer and charges the batch its
+        makespan over the runtime's workers.  A task raising therefore
+        propagates before anything — stats, metrics, network — has been
+        touched, and the runtime stays reusable.
         """
-
-        def _snapshot(item):
-            owner, predicates = item
-            # Same span name as the serial _charge_fetch path, opened on
-            # the worker thread: the runtime's captured context parents
-            # it under execute.fetch_batch (via the worker's
-            # runtime.task span), so the parallel tree reads like the
-            # serial one — one execute.fetch per remote peer.
-            with self.obs.tracer.span(
-                "execute.fetch", peer=owner, relations=len(predicates)
-            ) as span:
-                rows = [
-                    (predicate, set(self._stored_tuples(predicate)))
-                    for predicate in predicates
-                ]
-                span.annotate(
-                    payload=sum(len(tuples) for _, tuples in rows)
-                )
-            return rows
-
+        network = self.network
         with self.obs.tracer.span(
             "execute.fetch_batch", peers=len(remote), workers=self.runtime.workers
-        ) as batch_span:
-            snapshots = self.runtime.map(_snapshot, remote)
-            fetched: Instance = {}
-            # Local relations are free and read inline, as ever.
-            for predicate in by_owner.get(at_peer, ()):
-                fetched[predicate] = self._stored_tuples(predicate)
-            stats.relations_fetched += len(by_owner.get(at_peer, ()))
+        ) as span:
+            snapshots = self.runtime.map(self._snapshot, remote)
+            # Local relations are free and read live.
+            fetched: Instance = {
+                predicate: self._stored_tuples(predicate) for predicate in local
+            }
+            stats.relations_fetched += len(local)
             trips = []
-            for (owner, predicates), rows in zip(remote, snapshots):
-                payload = 0
-                for predicate, tuples in rows:
-                    fetched[predicate] = tuples
-                    payload += len(tuples)
+            for (owner, predicates), (rows, payload) in zip(remote, snapshots):
+                fetched.update(rows)
                 stats.relations_fetched += len(predicates)
                 stats.peers_contacted += 1
                 stats.messages += 2
                 stats.tuples_shipped += payload
                 self._m_round_trips.inc()
                 self._m_tuples.inc(payload)
+                self._h_round_trip.observe(
+                    network.transfer_ms(at_peer, owner, 1)
+                    + network.transfer_ms(owner, at_peer, payload)
+                )
                 trips.append(
                     (
                         (at_peer, owner, 1, "request"),
                         (owner, at_peer, payload, "response"),
                     )
                 )
-            cost = self.network.concurrent_round_trips(
+            cost = network.concurrent_round_trips(
                 trips, workers=self.runtime.workers
             )
             stats.latency_ms += cost
-            self._h_round_trip.observe(cost)
-            batch_span.annotate(overlapped_ms=round(cost, 3))
+            span.annotate(overlapped_ms=round(cost, 3))
         return fetched
 
     def _stored_tuples(self, predicate: str) -> set[tuple]:
@@ -342,26 +331,9 @@ class DistributedExecutor:
                 for owner, predicates in by_owner.items()
                 if owner != at_peer
             ]
-            if (
-                self.runtime.concurrent
-                and self.runtime.supports_closures
-                and len(remote) > 1
-            ):
-                fetched = self._fetch_concurrent(stats, at_peer, by_owner, remote)
-            else:
-                fetched: Instance = {}
-                for owner, predicates in by_owner.items():
-                    payload = 0
-                    for predicate in predicates:
-                        tuples = self._stored_tuples(predicate)
-                        fetched[predicate] = tuples
-                        payload += len(tuples)
-                    stats.relations_fetched += len(predicates)
-                    if owner != at_peer:
-                        stats.peers_contacted += 1
-                        self._charge_fetch(
-                            stats, at_peer, owner, payload, relations=len(predicates)
-                        )
+            fetched = self._fetch_batch(
+                stats, at_peer, by_owner.get(at_peer, []), remote
+            )
 
             stats.answers |= evaluate_union(pending, fetched)
             span.annotate(

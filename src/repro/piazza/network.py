@@ -29,17 +29,15 @@ Accounting: every :meth:`SimulatedNetwork.send` appends a
 ``network.tuples_shipped``, the ``network.transfer_ms`` histogram) so
 traffic shows up in the unified ``explain()`` report.
 
-Overlapped accounting (ISSUE 9): round trips dispatched concurrently
-by a :mod:`repro.runtime` pool do not queue behind each other, so
-:meth:`SimulatedNetwork.concurrent_round_trips` charges a batch the
-**makespan of a ``workers``-wide schedule** — the max over the batch
-with unlimited workers, the serial sum with one — instead of the sum,
-while recording every message exactly as the serial path would
-(``messages`` log order, ``kind_counts``, ``bytes_shipped`` and the
-per-message ``network.*`` metrics are identical in both modes; only
-``total_latency_ms`` differs).  That is what lets
-``benchmarks/bench_c18_parallel.py`` measure real modeled wall-clock
-parallelism.
+Batch accounting (ISSUE 9): every fan-out site bills its round trips
+through :meth:`SimulatedNetwork.concurrent_round_trips`, which charges
+the batch the **makespan of a ``workers``-wide schedule** — the serial
+sum with one worker, the max over the batch with unlimited workers —
+while recording every message exactly as :meth:`SimulatedNetwork.send`
+would (``messages`` log order, ``kind_counts``, ``bytes_shipped`` and
+the per-message ``network.*`` metrics do not depend on ``workers``;
+only ``total_latency_ms`` does).  That is what lets
+``benchmarks/bench_c18_parallel.py`` measure modeled parallelism.
 
 Reset semantics (:meth:`SimulatedNetwork.reset`): **traffic clears,
 topology survives.**  Cleared: the ``messages`` log,
@@ -66,18 +64,14 @@ def schedule_makespan(costs: list[float], workers: int | None = None) -> float:
     Greedy earliest-available-worker assignment in list order — the
     deterministic model of a pool draining a submission-ordered queue.
     ``workers=None`` (or >= the batch size) degenerates to ``max``:
-    everything overlaps.  ``workers=1`` degenerates to the serial sum.
+    everything overlaps.  One worker accumulates exactly the
+    left-to-right serial sum.
     """
     if not costs:
         return 0.0
     if workers is None or workers >= len(costs):
         return max(costs)
-    if workers <= 1:
-        total = 0.0
-        for cost in costs:
-            total += cost
-        return total
-    free_at = [0.0] * workers
+    free_at = [0.0] * max(workers, 1)
     for cost in costs:
         available = heapq.heappop(free_at)
         heapq.heappush(free_at, available + cost)
@@ -149,14 +143,20 @@ class SimulatedNetwork:
             return 0.0
         return self._latency.get((peer_a, peer_b), self.default_latency_ms)
 
+    def transfer_ms(self, sender: str, receiver: str, size: int) -> float:
+        """Modeled cost of one ``size``-tuple message (0 locally)."""
+        if sender == receiver:
+            return 0.0
+        return self.latency(sender, receiver) + size * self.per_tuple_ms
+
     def _record(self, sender: str, receiver: str, size: int, kind: str) -> float:
         """Record one message's traffic; returns its transfer cost in ms.
 
         Everything :meth:`send` does *except* charging
         ``total_latency_ms`` — the message log, per-kind counts, and the
-        ``network.*`` metrics — so serial and overlapped charging modes
-        share one recording path and can never drift in anything but
-        the latency total.  Local (same-peer) transfers are free and
+        ``network.*`` metrics — so per-message and batch charging share
+        one recording path and can never drift in anything but the
+        latency total.  Local (same-peer) transfers are free and
         unrecorded, as always.
         """
         if sender == receiver:
@@ -168,7 +168,7 @@ class SimulatedNetwork:
             if ids is not None:
                 message.trace_id, message.span_id = ids
         self.messages.append(message)
-        cost = self.latency(sender, receiver) + size * self.per_tuple_ms
+        cost = self.transfer_ms(sender, receiver, size)
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         counter = self._kind_counters.get(kind)
         if counter is None:

@@ -28,14 +28,14 @@ front, composing the four prior scale layers:
   views need for one updategram, mirroring the PR 2 fetch-batching
   discipline (``benchmarks/bench_c14_view_scale.py`` asserts the
   at-most-one-round-trip-per-subscriber invariant);
-* with a concurrent :mod:`repro.runtime` installed (ISSUE 9) the
-  per-subscriber batches are dispatched **in parallel** and charged
-  their overlapped network cost
-  (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`),
-  and the affected views — independent objects, each owning its shadow
-  instance — are maintained on the worker pool, answers pinned
-  identical to the serial path by ``tests/test_runtime.py`` and
-  benchmark C18.
+* the per-subscriber batches and the affected views — independent
+  objects, each owning its shadow instance — are tasks on the
+  executor's :mod:`repro.runtime` (ISSUE 9), and the propagation is
+  charged its makespan over that runtime's workers
+  (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`:
+  the serial sum under the default
+  :class:`~repro.runtime.SerialRuntime`); ``tests/test_runtime.py``
+  and benchmark C18 pin answers and traffic equal across runtimes.
 
 Reads go through :meth:`DistributedExecutor.execute(..., views=server)
 <repro.piazza.execution.DistributedExecutor.execute>`: a registered
@@ -136,16 +136,14 @@ class ViewServer:
         self,
         executor: DistributedExecutor,
         reformulation_options: dict | None = None,
-        runtime=None,
     ):  # noqa: D107
         self.executor = executor
         self.pdms = executor.pdms
         self.network = executor.network
         self.obs = executor.obs
-        # Fan-out runtime for updategram propagation and per-view
-        # maintenance (ISSUE 9); inherits the executor's unless given.
-        # Process pools can't ship these closures, so they keep serial.
-        self.runtime = runtime if runtime is not None else executor.runtime
+        # Updategram propagation and per-view maintenance fan out
+        # through the executor's (closure-capable) runtime (ISSUE 9).
+        self.runtime = executor.runtime
         self.reformulation_options = dict(reformulation_options or {})
         self.stats = ServingStats()
         # Cached metric handles: serve() is the per-query hot path, so
@@ -409,9 +407,9 @@ class ViewServer:
                 for reg_key in self._view_regs[vkey]:
                     needed_by_peer.setdefault(reg_key[0], set()).update(owned)
             for peer in sorted(needed_by_peer):
-                payload = sum(len(self._stored(r)) for r in needed_by_peer[peer])
                 if peer == owner:
                     continue
+                payload = sum(len(self._stored(r)) for r in needed_by_peer[peer])
                 self.stats.peers_notified += 1
                 self.stats.messages += 2
                 self.stats.rows_propagated += payload
@@ -427,26 +425,22 @@ class ViewServer:
             self._epochs[owner] = self.pdms.data_epoch(owner)
             return refreshed
 
-    def _propagate_concurrent(
+    def _propagate(
         self, owner: str, qualified: Updategram, needed_by_peer: dict,
         remote_peers: list,
-    ) -> int:
-        """Push one gram's delta batches to subscriber peers in parallel.
+    ) -> None:
+        """Push one gram's delta batches to the remote subscriber peers.
 
-        Workers assemble each remote peer's payload (the union of delta
-        rows its affected views need — pure reads of the immutable
-        qualified gram); the calling thread then records the same
-        update/update-ack messages as the serial loop, in sorted peer
-        order, and charges the batch its overlapped cost.  Still at
-        most one round trip per subscriber peer per gram.
+        Tasks assemble each peer's payload (the union of delta rows its
+        affected views need — pure reads of the immutable qualified
+        gram); the calling thread then records one update/update-ack
+        pair per peer, in sorted peer order, and charges the batch its
+        makespan over the runtime's workers.  At most one round trip
+        per subscriber peer per gram.
         """
 
         def _payload(peer):
-            # Same span name as the serial propagation loop; the
-            # runtime re-parents it under serving.propagate_batch.
-            with self.obs.tracer.span(
-                "serving.propagate", peer=peer
-            ) as span:
+            with self.obs.tracer.span("serving.propagate", peer=peer) as span:
                 payload = sum(
                     len(qualified.inserts.get(r, ()))
                     + len(qualified.deletes.get(r, ()))
@@ -455,10 +449,9 @@ class ViewServer:
                 span.annotate(payload=payload)
             return payload
 
+        workers = self.runtime.workers
         with self.obs.tracer.span(
-            "serving.propagate_batch",
-            peers=len(remote_peers),
-            workers=self.runtime.workers,
+            "serving.propagate_batch", peers=len(remote_peers), workers=workers
         ) as span:
             payloads = self.runtime.map(_payload, remote_peers)
             trips = []
@@ -470,30 +463,23 @@ class ViewServer:
                 trips.append(
                     ((owner, peer, payload, "update"), (peer, owner, 1, "update-ack"))
                 )
-            cost = self.network.concurrent_round_trips(
-                trips, workers=self.runtime.workers
-            )
+            cost = self.network.concurrent_round_trips(trips, workers=workers)
             self.stats.latency_ms += cost
             span.annotate(overlapped_ms=round(cost, 3))
-        return len(remote_peers)
 
-    def _maintain_concurrent(self, ordered: list, qualified: Updategram) -> list:
-        """Maintain the affected views on the runtime's worker pool.
+    def _maintain(self, ordered: list, qualified: Updategram) -> list:
+        """Maintain the affected views, one runtime task per view.
 
         Each view owns its shadow instance and derivation counts, so
-        maintenance tasks are independent; each still makes its own
-        cost-based incremental-vs-recompute choice.  Results come back
-        in creation order (the runtime's order-stable contract) and all
-        serving stats are applied by the caller afterwards.
+        maintenance tasks are independent; each makes its own
+        cost-based incremental-vs-recompute choice.  Strategies come
+        back in creation order (the runtime's order-stable contract)
+        and all serving stats are applied by the caller afterwards.
         """
 
-        def _maintain(vkey):
+        def _maintain_view(vkey):
             view = self._views[vkey]
             restricted = qualified.restrict(self._view_relations[vkey])
-            # Mirror the serial path's per-view span (strategy
-            # annotated) so a parallel updategram's tree stays
-            # comparable; the runtime parents it under
-            # serving.maintain_batch.
             with self.obs.tracer.span(
                 "serving.maintain", view=view.query.head.predicate
             ) as span:
@@ -506,7 +492,7 @@ class ViewServer:
             views=len(ordered),
             workers=self.runtime.workers,
         ):
-            return self.runtime.map(_maintain, ordered)
+            return self.runtime.map(_maintain_view, ordered)
 
     def _on_updategram(self, owner: str, gram: Updategram, epoch_before: int) -> None:
         """Route one base updategram to exactly the views it can affect.
@@ -556,55 +542,18 @@ class ViewServer:
                 touched = self._view_relations[vkey] & touched_relations
                 for reg_key in self._view_regs[vkey]:
                     needed_by_peer.setdefault(reg_key[0], set()).update(touched)
-            concurrent = (
-                self.runtime.concurrent and self.runtime.supports_closures
-            )
             remote_peers = [
                 peer for peer in sorted(needed_by_peer) if peer != owner
-            ]
-            if concurrent and len(remote_peers) > 1:
-                round_trips = self._propagate_concurrent(
-                    owner, qualified, needed_by_peer, remote_peers
-                )
-            else:
-                round_trips = 0
-                for peer in sorted(needed_by_peer):
-                    payload = sum(
-                        len(qualified.inserts.get(r, ()))
-                        + len(qualified.deletes.get(r, ()))
-                        for r in needed_by_peer[peer]
-                    )
-                    if peer == owner:
-                        continue  # local views see the mutation for free
-                    round_trips += 1
-                    self.stats.peers_notified += 1
-                    self.stats.messages += 2
-                    self.stats.rows_propagated += payload
-                    self._m_rows.inc(payload)
-                    with self.obs.tracer.span(
-                        "serving.propagate", peer=peer, payload=payload
-                    ):
-                        self.stats.latency_ms += self.network.round_trip(
-                            owner, peer, payload, kind="update"
-                        )
+            ]  # local views see the mutation for free
+            if remote_peers:
+                self._propagate(owner, qualified, needed_by_peer, remote_peers)
+            round_trips = len(remote_peers)
             self.stats.per_gram_round_trips.append(round_trips)
 
             # Maintain each shared view once, in creation order — ordered via
             # the per-view index, without scanning the whole view table.
             ordered = sorted(affected, key=self._view_order.__getitem__)
-            if concurrent and len(ordered) > 1:
-                strategies = self._maintain_concurrent(ordered, qualified)
-            else:
-                strategies = []
-                for vkey in ordered:
-                    view = self._views[vkey]
-                    restricted = qualified.restrict(self._view_relations[vkey])
-                    with self.obs.tracer.span(
-                        "serving.maintain", view=view.query.head.predicate
-                    ) as maintain_span:
-                        strategy, _delta = view.maintain(restricted)
-                        maintain_span.annotate(strategy=strategy)
-                    strategies.append(strategy)
+            strategies = self._maintain(ordered, qualified) if ordered else []
             for strategy in strategies:
                 self.stats.views_maintained += 1
                 self._m_maintained.inc()

@@ -1,35 +1,33 @@
-"""Parallel execution runtimes for the PDMS stack (ISSUE 9).
+"""Execution runtimes for the PDMS stack's fan-out sites (ISSUE 9).
 
-Halevy et al.'s PDMS peers answer independently, yet until this layer
-every fan-out in the reproduction ran one peer, one learner, one
-subscriber at a time.  :mod:`repro.runtime` is the pluggable executor
-abstraction those sites dispatch through:
+Halevy et al.'s PDMS peers answer independently, so every fan-out in
+the reproduction hands its independent tasks to one pluggable runtime
+and has no other way to run them:
 
-* :class:`SerialRuntime` — the in-order oracle (the default
-  everywhere; behavior is bit-identical to the pre-runtime code);
+* :class:`SerialRuntime` — the default everywhere: one worker, in
+  order, on the calling thread;
 * :class:`ThreadPoolRuntime` — thread fan-out for the simulated-I/O
   sites: :meth:`DistributedExecutor.execute
   <repro.piazza.execution.DistributedExecutor.execute>` per-peer
   fetches, :class:`~repro.piazza.serving.ViewServer` updategram
-  propagation and view maintenance;
+  propagation and view maintenance, per-source matching;
 * :class:`ProcessPoolRuntime` — process fan-out for CPU-bound
   picklable work (per-learner scoring in
   :meth:`~repro.corpus.match.meta.MetaLearner.predict_batch`).
 
 The modeled-cost half lives in
 :meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`:
-a batch of round trips dispatched concurrently is charged the makespan
-of a ``workers``-wide schedule (the max over the batch with unlimited
-workers) instead of the serial sum, while message/byte accounting stays
-identical — benchmark C18 measures real modeled wall-clock parallelism
-against the serial path, with answers asserted set-identical.
+a batch of round trips is charged the makespan of a ``workers``-wide
+schedule (the serial sum for one worker, the max over the batch with
+unlimited workers) while message/byte accounting stays identical —
+benchmark C18 reports that modeled parallelism, answers asserted
+set-identical.
 
-``tests/test_runtime.py`` is the concurrency battery: seeded
-randomized parity against :class:`SerialRuntime` across all three
-fan-out sites, worker-count sweeps, hypothesis task-order shuffles,
-fault injection (a failing worker propagates deterministically and
-leaves no partially-applied stats) and the multi-threaded
-:mod:`repro.obs` stress tests.
+``tests/test_runtime.py`` is the battery: ``SerialRuntime`` ≡ a pool of
+one as a property, worker-count sweeps across all fan-out sites,
+hypothesis task-order shuffles, fault injection (a failing task
+propagates deterministically and leaves no partially-applied stats) and
+the multi-threaded :mod:`repro.obs` stress tests.
 """
 
 from repro.runtime.pools import (

@@ -1,68 +1,60 @@
 """Pluggable execution runtimes for the stack's fan-out sites.
 
 Every fan-out in the reproduction — per-peer fetches in
-:meth:`~repro.piazza.execution.DistributedExecutor.execute`, per-learner
-scoring in :meth:`~repro.corpus.match.meta.MetaLearner.predict_batch`,
-per-subscriber updategram propagation in
-:class:`~repro.piazza.serving.ViewServer` — dispatches its independent
-tasks through one of these runtimes.  The contract is deliberately
-small:
+:meth:`~repro.piazza.execution.DistributedExecutor.execute`, per-source
+and per-learner scoring in :mod:`repro.corpus.match`, per-subscriber
+propagation and per-view maintenance in
+:class:`~repro.piazza.serving.ViewServer` — has **one** code path: it
+hands its independent tasks to ``runtime.map`` and applies every shared
+mutation after the batch returns.  Serial execution is a parameter
+value (:class:`SerialRuntime`), not a branch at the site.  The contract:
 
 * :meth:`ExecutionRuntime.map` runs ``fn`` over ``items`` and returns
-  the results **in item order**, whatever order the workers finished
-  in.  Order-stable results are what make the concurrent paths
-  deterministic and bitwise comparable to the serial oracle.
+  the results **in item order**, whatever order the workers finished in.
 * A task that raises makes ``map`` raise **the exception of the
   earliest-submitted failing item** (deterministic regardless of thread
-  scheduling); the pool survives and the runtime is reusable for the
-  next batch.  Callers apply shared-state mutations (stats, network
-  charges) only *after* ``map`` returns, so a mid-fan-out failure
-  leaves no partially-applied accounting.
-* ``map`` called from inside one of the runtime's own workers (a
-  nested fan-out, e.g. per-learner scoring inside a per-source batch)
-  degrades to inline serial execution instead of re-submitting to the
-  pool — re-entrant submission from saturated workers is the classic
-  thread-pool deadlock.
+  scheduling); the pool survives and the runtime is reusable.  Callers
+  mutate shared state (stats, network charges) only *after* ``map``
+  returns, so a mid-fan-out failure leaves no partial accounting.
+* ``map`` called from inside one of the runtime's own workers (a nested
+  fan-out, e.g. per-learner scoring inside a per-source batch) runs
+  inline instead of re-submitting to the pool — re-entrant submission
+  from saturated workers is the classic thread-pool deadlock.
 
 Three implementations:
 
-* :class:`SerialRuntime` — the oracle.  Plain in-order loop, one
-  worker, no threads; every concurrent path is pinned against it by
-  ``tests/test_runtime.py``.
+* :class:`SerialRuntime` — the default: the in-order, one-worker pool
+  on the calling thread.  ``tests/test_runtime.py`` pins it equal to
+  ``ThreadPoolRuntime(1)`` in results, failure and accounting.
 * :class:`ThreadPoolRuntime` — ``concurrent.futures`` thread pool for
   the simulated-I/O-bound work (peer fetches, propagation): tasks are
-  closures over live shared state, cheap to dispatch, and the GIL is
-  irrelevant because the modeled cost lives in
+  closures over live shared state, and the GIL is irrelevant because
+  the modeled cost lives in
   :meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`.
 * :class:`ProcessPoolRuntime` — process pool for CPU-bound work
   (learner scoring ships picklable ``(learner, samples)`` work units).
-  ``supports_closures`` is ``False``: sites whose tasks are closures
-  over live objects (executor, view server) fall back to their serial
-  path rather than attempting to pickle them.
+  Its ``supports_closures`` is ``False``, so
+  :meth:`ExecutionRuntime.for_closures` hands closure sites (executor,
+  view server, ``match_corpus``) a :class:`SerialRuntime` instead.
 
 Pools are created lazily on first ``map`` and torn down by
 :meth:`close` (also a context manager), so constructing a runtime is
 free and a crashed batch never wedges the next one.
 
 Instrumentation (``repro.obs``): every ``map`` call counts its tasks
-(``runtime.tasks``), records the configured worker count
-(``runtime.workers`` gauge) and times the batch
-(``runtime.batch.ms`` histogram) — the first metrics in the stack
-recorded from multiple threads, which is why instrument mutation is
-lock-protected (see :mod:`repro.obs.metrics`).
+(``runtime.tasks``) and batches (``runtime.batches``), records the
+configured worker count (``runtime.workers`` gauge) and times the batch
+(``runtime.batch.ms`` histogram).
 
 Trace context propagation (ISSUE 10): when the runtime's tracer is
-enabled and the caller has a span open, ``map`` captures it as a
-:class:`~repro.obs.context.TraceContext` and activates it on every
+enabled and the caller has a span open, a pooled ``map`` captures it as
+a :class:`~repro.obs.context.TraceContext` and activates it on every
 worker, wrapping each task in a ``runtime.task`` span — so a parallel
-fan-out stays ONE trace (worker spans re-parent under the caller's
-span instead of becoming orphan roots).  Thread pools attach to the
-live parent span; process pools ship the pickled (id-only) context
-and re-activate it on the worker process's default tracer, where any
-spans become linkable fragments of the same trace.  The runtime and
-the fan-out site must share one :class:`~repro.obs.Observability`
-(both default to :func:`repro.obs.default`, so they do unless a
-caller isolates one and not the other).
+fan-out stays ONE trace.  Thread pools attach to the live parent span;
+process pools ship the pickled (id-only) context and re-activate it on
+the worker process's default tracer.  The runtime and the fan-out site
+must share one :class:`~repro.obs.Observability` (both default to
+:func:`repro.obs.default`).
 """
 
 from __future__ import annotations
@@ -89,19 +81,12 @@ def _run_with_context(fn, context, item):
 
 
 class ExecutionRuntime:
-    """The contract every runtime implements (see the module docstring).
+    """The contract every runtime implements (see the module docstring)."""
 
-    ``concurrent`` tells a fan-out site whether dispatching through
-    :meth:`map` buys anything; ``supports_closures`` whether tasks may
-    be closures over live shared objects (false for process pools,
-    whose work units must pickle).
-    """
-
-    #: Whether map() may run tasks on more than one worker.
-    concurrent = False
-    #: Whether tasks may be unpicklable closures over shared state.
+    #: Whether tasks may be unpicklable closures over shared state
+    #: (false for process pools, whose work units must pickle).
     supports_closures = True
-    #: Configured worker count (1 for the serial oracle).
+    #: Configured worker count (1 for the serial runtime).
     workers = 1
 
     def __init__(self, obs: "_obs.Observability | None" = None):  # noqa: D107
@@ -119,9 +104,25 @@ class ExecutionRuntime:
         self._g_workers.set(self.workers)
         self._h_batch.observe((perf_counter() - started) * 1000.0)
 
+    def _map_inline(self, fn, items: list) -> list:
+        """One accounted batch on the calling thread, in item order."""
+        started = perf_counter()
+        results = [fn(item) for item in items]
+        self._account(len(items), started)
+        return results
+
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]`` with results in item order."""
         raise NotImplementedError
+
+    def for_closures(self) -> "ExecutionRuntime":
+        """The runtime a closure-dispatching site should use.
+
+        ``self``, unless work units must pickle — then a
+        :class:`SerialRuntime` on the same observability, resolved once
+        at the site's construction.
+        """
+        return self if self.supports_closures else SerialRuntime(obs=self.obs)
 
     def close(self) -> None:
         """Release worker resources (idempotent; a no-op when poolless)."""
@@ -135,21 +136,15 @@ class ExecutionRuntime:
 
 
 class SerialRuntime(ExecutionRuntime):
-    """The in-order, single-worker oracle every parallel path is pinned to."""
+    """The in-order pool of one worker, on the calling thread."""
 
     def map(self, fn, items) -> list:
         """Run the batch inline, strictly in item order."""
-        items = list(items)
-        started = perf_counter()
-        results = [fn(item) for item in items]
-        self._account(len(items), started)
-        return results
+        return self._map_inline(fn, list(items))
 
 
 class _PoolRuntime(ExecutionRuntime):
     """Shared submit/collect machinery for the two pooled runtimes."""
-
-    concurrent = True
 
     def __init__(self, workers: int, obs: "_obs.Observability | None" = None):  # noqa: D107
         if workers < 1:
@@ -163,6 +158,10 @@ class _PoolRuntime(ExecutionRuntime):
     def _create_pool(self):
         raise NotImplementedError
 
+    def _submit(self, pool, fn, item, context) -> Future:
+        """Submit one task; ``context`` is the caller's trace context."""
+        raise NotImplementedError
+
     def _ensure_pool(self):
         pool = self._pool
         if pool is None:
@@ -172,27 +171,6 @@ class _PoolRuntime(ExecutionRuntime):
                     pool = self._pool = self._create_pool()
         return pool
 
-    def _in_worker(self) -> bool:
-        return getattr(self._local, "worker", False)
-
-    def _run(self, fn, item, context=None):
-        # Marks the thread so a nested map() degrades to inline serial
-        # execution instead of deadlocking on its own saturated pool.
-        # (Process workers never reach this path: their runtime check
-        # happens in the parent, see ProcessPoolRuntime.map.)
-        self._local.worker = True
-        if context is None:
-            return fn(item)
-        # Re-parent this worker's spans under the captured caller span
-        # and mark the hop with its own runtime.task span — the pool
-        # worker shows up in the trace like a network peer does.
-        tracer = self.obs.tracer
-        with tracer.activate(context):
-            with tracer.span(
-                "runtime.task", worker=threading.current_thread().name
-            ):
-                return fn(item)
-
     def map(self, fn, items) -> list:
         """Submit the whole batch, collect results in submission order.
 
@@ -200,23 +178,18 @@ class _PoolRuntime(ExecutionRuntime):
         that propagates is always the earliest-submitted failure —
         deterministic however the workers were scheduled.  Remaining
         tasks run to completion in the background and the pool stays
-        usable.
+        usable.  A nested fan-out (called on one of this runtime's own
+        worker threads) or a batch with nothing to overlap runs inline.
         """
         items = list(items)
-        if self._in_worker() or len(items) <= 1:
-            # Nested fan-out, or nothing to overlap: run inline.
-            started = perf_counter()
-            results = [fn(item) for item in items]
-            self._account(len(items), started)
-            return results
+        if getattr(self._local, "worker", False) or len(items) <= 1:
+            return self._map_inline(fn, items)
         pool = self._ensure_pool()
         # None whenever tracing is off or nothing is open — workers
         # then skip activation and spans entirely (the C15 bar).
         context = self.obs.tracer.current_context()
         started = perf_counter()
-        futures: list[Future] = [
-            pool.submit(self._run, fn, item, context) for item in items
-        ]
+        futures = [self._submit(pool, fn, item, context) for item in items]
         results = [future.result() for future in futures]
         self._account(len(items), started)
         return results
@@ -246,14 +219,34 @@ class ThreadPoolRuntime(_PoolRuntime):
             max_workers=self.workers, thread_name_prefix="repro-runtime"
         )
 
+    def _submit(self, pool, fn, item, context) -> Future:
+        return pool.submit(self._run, fn, item, context)
+
+    def _run(self, fn, item, context):
+        # Marks the thread so a nested map() runs inline instead of
+        # deadlocking on its own saturated pool.
+        self._local.worker = True
+        if context is None:
+            return fn(item)
+        # Re-parent this worker's spans under the captured caller span
+        # and mark the hop with its own runtime.task span — the pool
+        # worker shows up in the trace like a network peer does.
+        tracer = self.obs.tracer
+        with tracer.activate(context):
+            with tracer.span(
+                "runtime.task", worker=threading.current_thread().name
+            ):
+                return fn(item)
+
 
 class ProcessPoolRuntime(_PoolRuntime):
     """Process-pool fan-out for CPU-bound, picklable work units.
 
-    The learner-scoring path ships module-level functions over
-    ``(learner, samples, labels)`` tuples, which pickle cleanly.  Sites
-    whose tasks are closures over live objects check
-    ``supports_closures`` and keep their serial path instead.
+    ``fn`` and every item must pickle (the learner-scoring path ships a
+    module-level function over ``(learner, samples, labels)`` tuples);
+    nested maps cannot occur across the process boundary.  With tracing
+    on, the caller's context ships in wire (id-only) form via
+    :func:`_run_with_context`.
     """
 
     supports_closures = False
@@ -264,32 +257,7 @@ class ProcessPoolRuntime(_PoolRuntime):
     def _create_pool(self):
         return ProcessPoolExecutor(max_workers=self.workers)
 
-    def map(self, fn, items) -> list:
-        """Like :meth:`_PoolRuntime.map`, submitting ``fn`` directly.
-
-        ``fn`` and every item must be picklable (the in-worker marker
-        trick is thread-local, so the parent submits ``fn`` as-is and
-        nested maps simply cannot occur across the process boundary).
-        With tracing on, the caller's context ships in wire (id-only)
-        form via :func:`_run_with_context` — pickling the context
-        drops its live span reference automatically.
-        """
-        items = list(items)
-        if len(items) <= 1:
-            started = perf_counter()
-            results = [fn(item) for item in items]
-            self._account(len(items), started)
-            return results
-        pool = self._ensure_pool()
-        context = self.obs.tracer.current_context()
-        started = perf_counter()
+    def _submit(self, pool, fn, item, context) -> Future:
         if context is None:
-            futures = [pool.submit(fn, item) for item in items]
-        else:
-            futures = [
-                pool.submit(_run_with_context, fn, context.wire(), item)
-                for item in items
-            ]
-        results = [future.result() for future in futures]
-        self._account(len(items), started)
-        return results
+            return pool.submit(fn, item)
+        return pool.submit(_run_with_context, fn, context.wire(), item)

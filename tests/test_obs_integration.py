@@ -11,9 +11,9 @@ mirrored into the shared metrics registry.  Also pinned here:
 * ``PDMS.reformulate`` keeps ``index_hits`` / ``rules_skipped`` on the
   result object (existing consumers) while mirroring them into
   ``reformulate.*`` counters;
-* the executor's ``_charge_fetch`` helper feeds both the batched and
-  brute-force paths, so their message/latency accounting stays locked
-  to the same cost model;
+* the batched and brute-force executors bill the same messages at the
+  network's per-message cost, one ``execute.round_trip_ms`` observation
+  per round trip, under any runtime;
 * cache hit/miss/eviction counters flow from the search layer into the
   same registry.
 """
@@ -28,6 +28,7 @@ from repro.piazza import (
     Updategram,
     ViewServer,
 )
+from repro.runtime import SerialRuntime, ThreadPoolRuntime
 from repro.search.cache import LRUQueryCache
 
 
@@ -178,29 +179,41 @@ class TestNetworkResetSemantics:
 
 
 class TestChargeFetchParity:
-    def test_batched_and_brute_share_the_cost_model(self):
-        # Both executors bill through _charge_fetch; on a single-relation
-        # query they fetch the same payloads, so messages and latency
-        # agree exactly (batching only wins when a peer serves several
-        # relations — pinned at scale by C11c).
+    @pytest.mark.parametrize(
+        "make_runtime",
+        [SerialRuntime, lambda obs: ThreadPoolRuntime(4, obs=obs)],
+        ids=["SerialRuntime", "ThreadPoolRuntime-4"],
+    )
+    def test_batched_and_brute_share_the_cost_model(self, make_runtime):
+        # Both executors bill the same messages at the network's
+        # per-message cost; on a single-relation query they fetch the
+        # same payloads, so messages agree exactly and so does latency
+        # until a pool overlaps the batch (batching only wins when a
+        # peer serves several relations — pinned at scale by C11c).
         obs = Observability()
         pdms = chain_pdms(obs)
         pdms.mapping_index()
-        executor = DistributedExecutor(pdms)
         query = "q(T) :- uw.course(I, T)"
-        scaled = executor.execute(query, "uw")
-        brute = executor.execute_brute_force(query, "uw")
+        with make_runtime(obs=obs) as runtime:
+            executor = DistributedExecutor(pdms, runtime=runtime)
+            scaled = executor.execute(query, "uw")
+            brute = executor.execute_brute_force(query, "uw")
         assert scaled.answers == brute.answers
         assert scaled.messages == brute.messages
-        assert scaled.latency_ms == brute.latency_ms
+        if runtime.workers == 1:
+            assert scaled.latency_ms == brute.latency_ms
+        else:
+            assert scaled.latency_ms < brute.latency_ms
         assert scaled.tuples_shipped == brute.tuples_shipped
         metrics = obs.metrics
         assert metrics.counter("execute.round_trips").value == (
             scaled.messages + brute.messages
         ) // 2
-        assert metrics.histogram("execute.round_trip_ms").count == (
-            metrics.counter("execute.round_trips").value
-        )
+        # One observation per round trip (its own cost, not the batch's
+        # makespan), whichever executor and runtime billed it.
+        histogram = metrics.histogram("execute.round_trip_ms")
+        assert histogram.count == metrics.counter("execute.round_trips").value
+        assert histogram.total == pytest.approx(2 * brute.latency_ms)
 
 
 class TestCacheCounters:

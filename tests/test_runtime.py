@@ -1,24 +1,29 @@
-"""Concurrency battery for the pluggable execution runtime (ISSUE 9).
+"""Battery for the pluggable execution runtime (ISSUE 9).
 
-Four layers of pinning, each against the serial oracle:
+Every fan-out site has one code path — tasks through ``runtime.map``,
+mutation after the join — so serial is a runtime value, not a branch.
+Four layers pin that:
 
 * **Runtime contract** — ``map`` is order-stable, its failure semantics
   are deterministic (earliest-submitted exception wins), nested fan-out
-  degrades inline instead of deadlocking, and pools survive a crashed
-  batch.
-* **Site parity** — the three fan-out sites (distributed execution,
-  corpus matching, view serving) produce answers, counters and traffic
-  identical to :class:`~repro.runtime.SerialRuntime` across worker
-  counts, runs and (via hypothesis) task orders; only the modeled
-  latency may differ, and only downward.
-* **Overlapped accounting** — ``schedule_makespan`` /
+  runs inline instead of deadlocking, pools survive a crashed batch, and
+  :class:`~repro.runtime.SerialRuntime` ≡ a thread pool of one.
+* **Site parity** — the fan-out sites (distributed execution, corpus
+  matching, view serving) produce answers, counters and traffic
+  identical under :class:`~repro.runtime.SerialRuntime` and across
+  worker counts, runs and (via hypothesis) task orders; only the
+  modeled latency may differ, and only downward.
+* **Batch accounting** — ``schedule_makespan`` /
   ``concurrent_round_trips`` charge the makespan over the worker count
-  while recording exactly the traffic the serial path records.
+  (exactly the serial sum for one) while recording the traffic
+  ``send`` would.
 * **Obs thread safety** — hammered counters/histograms/tracers keep
   exact totals and well-formed per-thread span trees.
 """
 
 import dataclasses
+import functools
+import operator
 import random
 import threading
 
@@ -28,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro import obs as _obs
 from repro.corpus.match import CorpusMatchPipeline
+from repro.corpus.model import Corpus
 from repro.datasets.pdms_gen import (
     random_tree_pdms,
     synthetic_matching_workload,
@@ -58,14 +64,23 @@ def _fail_on_negative(value):
     return value
 
 
+def _left_to_right(costs):
+    # Not sum(): 3.12+ compensates float sums, a serial loop does not.
+    return functools.reduce(operator.add, costs, 0.0)
+
+
+def _log(network):
+    return [(m.sender, m.receiver, m.size, m.kind) for m in network.messages]
+
+
 # -- the runtime contract ----------------------------------------------------
 
 
 class TestRuntimeContract:
     def test_serial_is_inline_and_ordered(self):
         runtime = SerialRuntime()
-        assert not runtime.concurrent
         assert runtime.workers == 1
+        assert runtime.for_closures() is runtime
         assert runtime.map(_square, range(7)) == [v * v for v in range(7)]
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -78,7 +93,9 @@ class TestRuntimeContract:
         with ProcessPoolRuntime(workers=2) as runtime:
             items = list(range(20))
             assert runtime.map(_square, items) == [v * v for v in items]
+            # Closure sites get a serial stand-in, resolved by the runtime.
             assert not runtime.supports_closures
+            assert type(runtime.for_closures()) is SerialRuntime
 
     def test_earliest_submitted_failure_wins(self):
         # Items 3 and 7 both fail; whatever order the workers finish
@@ -139,8 +156,32 @@ class TestRuntimeContract:
         with ThreadPoolRuntime(workers=4) as runtime:
             assert runtime.map(_square, items) == serial
 
+    @given(items=st.lists(st.integers(min_value=-3, max_value=20), max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_serial_is_the_pool_of_one(self, items):
+        # The property that lets every fan-out site drop its inline
+        # serial arm: SerialRuntime is observably ThreadPoolRuntime(1) —
+        # same results, same (earliest-failure) exception, same
+        # runtime.* accounting (a failed batch accounts nothing).
+        def outcome(runtime):
+            try:
+                result = runtime.map(_fail_on_negative, items)
+            except ValueError as exc:
+                result = str(exc)
+            metrics = runtime.obs.metrics
+            return (
+                result,
+                metrics.get("runtime.tasks").value,
+                metrics.get("runtime.batches").value,
+                metrics.get("runtime.workers").value,
+            )
 
-# -- overlapped network accounting -------------------------------------------
+        serial = outcome(SerialRuntime(obs=_obs.Observability()))
+        with ThreadPoolRuntime(workers=1, obs=_obs.Observability()) as pool:
+            assert outcome(pool) == serial
+
+
+# -- batch network accounting --------------------------------------------------
 
 
 class TestOverlappedAccounting:
@@ -149,9 +190,13 @@ class TestOverlappedAccounting:
         assert schedule_makespan([3.0, 9.0, 4.0], workers=None) == 9.0
         assert schedule_makespan([3.0, 9.0, 4.0], workers=7) == 9.0
 
-    def test_makespan_one_worker_is_serial_sum(self):
-        costs = [3.0, 9.0, 4.0, 2.5]
-        assert schedule_makespan(costs, workers=1) == pytest.approx(sum(costs))
+    @given(costs=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_makespan_one_worker_is_serial_sum(self, costs):
+        # Exactly (==, not approx) the left-to-right sum a serial loop
+        # would have accumulated — the latency half of "serial is
+        # workers=1, not a code path".
+        assert schedule_makespan(costs, workers=1) == _left_to_right(costs)
 
     def test_makespan_two_workers_greedy_assignment(self):
         # Arrival order 5,4,3,2: worker A takes 5 then 2 (=7), worker B
@@ -202,16 +247,42 @@ class TestOverlappedAccounting:
         assert overlapped.total_latency_ms == pytest.approx(max(per_trip))
         assert serial.total_latency_ms == pytest.approx(sum(per_trip))
 
-    def test_concurrent_trips_with_one_worker_match_serial_sum(self):
-        overlapped = self._heterogeneous_network()
+    @given(
+        trips=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from("abcd"),
+                    st.sampled_from("abcd"),
+                    st.integers(min_value=0, max_value=50),
+                    st.sampled_from(["request", "response", "update"]),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_concurrent_trips_with_one_worker_match_serial_sum(self, trips):
+        # Any batch (local messages included) billed with workers=1 is
+        # the same messages sent one by one: same log, kinds, bytes,
+        # and the latency total a per-trip serial loop accumulates.
+        batched = self._heterogeneous_network()
         serial = self._heterogeneous_network()
-        for trip in self._trips():
-            for message in trip:
-                serial.send(*message)
-        overlapped.concurrent_round_trips(self._trips(), workers=1)
-        # Approx, not exact: the batch sums each trip before adding to
-        # the total, so float association differs from send-by-send.
-        assert overlapped.total_latency_ms == pytest.approx(serial.total_latency_ms)
+        per_trip = [
+            _left_to_right(serial.send(*message) for message in trip)
+            for trip in trips
+        ]
+        charged = batched.concurrent_round_trips(trips, workers=1)
+        assert _log(batched) == _log(serial)
+        assert batched.kind_counts == serial.kind_counts
+        assert batched.bytes_shipped == serial.bytes_shipped
+        assert charged == batched.total_latency_ms == _left_to_right(per_trip)
+        # Approx only here: send() adds message by message, the batch
+        # trip by trip, so float association differs in the last ulp.
+        assert batched.total_latency_ms == pytest.approx(
+            serial.total_latency_ms, rel=1e-12
+        )
 
     def test_traffic_records_identical_in_both_modes(self):
         overlapped = self._heterogeneous_network()
@@ -223,9 +294,7 @@ class TestOverlappedAccounting:
         assert overlapped.message_count == serial.message_count
         assert overlapped.bytes_shipped == serial.bytes_shipped
         assert overlapped.kind_counts == serial.kind_counts
-        assert [
-            (m.sender, m.receiver, m.size, m.kind) for m in overlapped.messages
-        ] == [(m.sender, m.receiver, m.size, m.kind) for m in serial.messages]
+        assert _log(overlapped) == _log(serial)
 
     def test_local_messages_stay_free_and_unrecorded(self):
         network = SimulatedNetwork()
@@ -335,29 +404,31 @@ class TestExecutorParity:
 
     def test_worker_fault_leaves_no_partial_accounting(self, monkeypatch):
         pdms, queries = _executor_workload(peers=12)
-        network = SimulatedNetwork()
-        with ThreadPoolRuntime(workers=4) as runtime:
-            executor = DistributedExecutor(pdms, network, runtime=runtime)
-            real = DistributedExecutor._stored_tuples
-
-            def broken(self, predicate):
-                if predicate.startswith("p3!"):
-                    raise RuntimeError("peer p3 is down")
-                return real(self, predicate)
-
-            monkeypatch.setattr(DistributedExecutor, "_stored_tuples", broken)
-            before = (network.message_count, network.total_latency_ms)
-            with pytest.raises(RuntimeError, match="peer p3 is down"):
-                executor.execute(queries[0], "p0", {"max_depth": 40})
-            # The failure surfaced before any mutation: the network saw
-            # nothing and no half-filled stats escaped (execute raised).
-            assert (network.message_count, network.total_latency_ms) == before
-            # The pool survives: the same executor completes the same
-            # query once the peer heals, identically to serial.
-            monkeypatch.setattr(DistributedExecutor, "_stored_tuples", real)
-            recovered = executor.execute(queries[0], "p0", {"max_depth": 40})
         serial_stats, _ = _run_executor(pdms, queries, SerialRuntime())
-        assert recovered.answers == serial_stats[0].answers
+        real = DistributedExecutor._stored_tuples
+
+        def broken(self, predicate):
+            if predicate.startswith("p3!"):
+                raise RuntimeError("peer p3 is down")
+            return real(self, predicate)
+
+        # One path, so the guarantee holds serially too: the fetches
+        # before p3 are not billed when p3 fails.
+        for runtime in (SerialRuntime(), ThreadPoolRuntime(workers=4)):
+            network = SimulatedNetwork()
+            with runtime:
+                executor = DistributedExecutor(pdms, network, runtime=runtime)
+                monkeypatch.setattr(DistributedExecutor, "_stored_tuples", broken)
+                with pytest.raises(RuntimeError, match="peer p3 is down"):
+                    executor.execute(queries[0], "p0", {"max_depth": 40})
+                # The failure surfaced before any mutation: the network
+                # saw nothing and no half-filled stats escaped.
+                assert (network.message_count, network.total_latency_ms) == (0, 0.0)
+                # The runtime survives: the same executor completes the
+                # same query once the peer heals, identically to serial.
+                monkeypatch.setattr(DistributedExecutor, "_stored_tuples", real)
+                recovered = executor.execute(queries[0], "p0", {"max_depth": 40})
+            assert recovered.answers == serial_stats[0].answers
 
 
 # -- corpus matching parity ---------------------------------------------------
@@ -409,6 +480,17 @@ class TestPipelineParity:
                 pooled, pipeline = _run_pipeline(workload, runtime)
             runs.append((pooled, pipeline.counters))
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "runtime_class", [SerialRuntime, ThreadPoolRuntime, ProcessPoolRuntime]
+    )
+    def test_empty_corpus_needs_no_training(self, workload, runtime_class):
+        with runtime_class() as runtime:
+            pipeline = CorpusMatchPipeline(workload.mediated, runtime=runtime)
+            assert pipeline.match_corpus(Corpus()) == {}
+            # A non-empty one still refuses, with the first source's error.
+            with pytest.raises(ValueError, match="no training sources"):
+                pipeline.match_corpus(workload.corpus)
 
 
 # -- view serving parity ------------------------------------------------------
@@ -707,10 +789,8 @@ class TestTracePropagation:
         pooled_obs = _obs.Observability(tracing=True)
         pooled = names_under(lambda o: ThreadPoolRuntime(workers=4, obs=o),
                              pooled_obs)
-        # Same spans, modulo the concurrent path's own plumbing (the
-        # batch span and the pool's runtime.task wrappers).
-        plumbing = ("runtime.task", "execute.fetch_batch")
-        assert [n for n in pooled if n not in plumbing] == serial
+        # One path, one shape: only the pool's runtime.task hops differ.
+        assert [n for n in pooled if n != "runtime.task"] == serial
 
     def test_network_messages_stamped_with_trace_ids(self):
         obs = _obs.Observability(tracing=True)
