@@ -395,9 +395,12 @@ class SemanticSearch(InstantApp):
 
     Keyword search (TF/IDF over each entity's annotated text) combined
     with structured filters — the chasm-crossing hybrid: U-WORLD ranking
-    over S-WORLD entities.  Incrementally maintained: a publish
-    re-indexes only the touched subjects' documents (the TF/IDF fit
-    itself stays lazy inside :class:`~repro.text.CosineIndex`).
+    over S-WORLD entities.  Incrementally maintained: a publish hands
+    only the touched subjects' documents to
+    :class:`~repro.text.CosineIndex`, which keeps every other document's
+    analysis and postings; the first search after it re-analyses those
+    documents, recounts document frequencies and re-weights only the
+    documents holding a term whose IDF moved.
     """
 
     def build_rows(self) -> list[dict]:
@@ -440,12 +443,11 @@ class SemanticSearch(InstantApp):
 
     def search(self, query: str, type_name: str | None = None, limit: int = 10) -> list[SearchResult]:
         """Ranked entities matching the keywords, optionally typed."""
+        # A type filter applies before the cut, so it ranks every candidate.
+        hits = self._index.search(query, limit if type_name is None else len(self._index))
         results: list[SearchResult] = []
-        for subject, score in self._index.search(query, limit=limit * 4):
+        for subject, score in hits:
             subject_type = self._types.get(subject)
-            if type_name is not None and subject_type != type_name:
-                continue
-            results.append(SearchResult(subject, score, subject_type))
-            if len(results) >= limit:
-                break
-        return results
+            if type_name is None or subject_type == type_name:
+                results.append(SearchResult(subject, score, subject_type))
+        return results[:limit]

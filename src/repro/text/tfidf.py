@@ -40,11 +40,18 @@ def cosine_similarity(vec_a: Vector, vec_b: Vector) -> float:
     return dot / (norm_a * norm_b)
 
 
+def _norm(vector: Vector) -> float:
+    # Summed in the vector's iteration order, as cosine_similarity does.
+    return math.sqrt(sum(weight * weight for weight in vector.values()))
+
+
 class TfIdfVectorizer:
     """Fit IDF weights on a corpus of documents, then vectorize text.
 
     ``tf`` uses log damping (``1 + log(count)``); ``idf`` is the smoothed
     ``log((1 + N) / (1 + df)) + 1`` so unseen terms still get weight.
+    Wherever a document is expected, the ``Counter`` that :meth:`analyze`
+    returned for it is accepted too and skips tokenizing and stemming.
     """
 
     def __init__(self, stem: bool = True, lowercase: bool = True):  # noqa: D107
@@ -54,23 +61,30 @@ class TfIdfVectorizer:
         self._documents = 0
 
     # -- tokenization -------------------------------------------------
-    def _terms(self, text: str | Sequence[str]) -> list[str]:
+    def analyze(self, text: str | Sequence[str]) -> Counter[str]:
+        """Term counts of one document, terms in first-occurrence order."""
         if isinstance(text, str):
             tokens = tokenize(text if not self.lowercase else text.lower())
         else:
             tokens = [token.lower() if self.lowercase else token for token in text]
         if self.stem:
             tokens = [porter_stem(token) for token in tokens]
-        return tokens
+        return Counter(tokens)
+
+    def _analysed(self, document: str | Sequence[str] | Counter[str]) -> Counter[str]:
+        return document if isinstance(document, Counter) else self.analyze(document)
+
+    def _unseen_idf(self) -> float:
+        return math.log(1 + self._documents) + 1.0 if self._documents else 1.0
 
     # -- fitting ------------------------------------------------------
-    def fit(self, documents: Iterable[str | Sequence[str]]) -> "TfIdfVectorizer":
+    def fit(self, documents: Iterable[str | Sequence[str] | Counter[str]]) -> "TfIdfVectorizer":
         """Compute document frequencies over ``documents``."""
         document_frequency: Counter[str] = Counter()
         count = 0
         for document in documents:
             count += 1
-            document_frequency.update(set(self._terms(document)))
+            document_frequency.update(self._analysed(document).keys())
         self._documents = count
         self._idf = {
             term: math.log((1 + count) / (1 + df)) + 1.0
@@ -85,20 +99,18 @@ class TfIdfVectorizer:
 
     def idf(self, term: str) -> float:
         """IDF weight of ``term`` (default weight if never seen)."""
-        if self.stem:
-            term = porter_stem(term.lower() if self.lowercase else term)
-        return self._idf.get(term, math.log(1 + self._documents) + 1.0 if self._documents else 1.0)
+        (term,) = self.analyze([term])  # normalised exactly as a document's tokens are
+        return self._idf.get(term, self._unseen_idf())
 
     # -- transformation ------------------------------------------------
-    def transform(self, text: str | Sequence[str]) -> Vector:
+    def transform(self, text: str | Sequence[str] | Counter[str]) -> Vector:
         """TF/IDF vector of one document."""
-        counts = Counter(self._terms(text))
         vector: Vector = {}
-        for term, count in counts.items():
+        for term, count in self._analysed(text).items():
             tf = 1.0 + math.log(count)
             idf = self._idf.get(term)
             if idf is None:
-                idf = math.log(1 + self._documents) + 1.0 if self._documents else 1.0
+                idf = self._unseen_idf()
             vector[term] = tf * idf
         return vector
 
@@ -112,47 +124,85 @@ class CosineIndex:
 
     This is the U-WORLD keyword-search baseline used by the examples and
     by MANGROVE's annotation-enabled search application.
+
+    Cached per document: its analysis (term counts), its posting rows and
+    its ``(vector, norm)`` under the current IDF table.  ``add``/``remove``
+    only store the text and mark the id dirty; the next :meth:`search`
+    re-analyses the dirty documents alone, recounts document frequencies
+    over the cached analyses, and drops the cached vectors of exactly the
+    documents holding a term whose IDF moved.  Results are bitwise those
+    of an index freshly built from the same texts.
     """
 
     def __init__(self, stem: bool = True):  # noqa: D107
         self._vectorizer = TfIdfVectorizer(stem=stem)
         self._raw_documents: dict[str, str | Sequence[str]] = {}
-        self._vectors: dict[str, Vector] = {}
+        self._dirty: set[str] = set()
+        self._counts: dict[str, Counter[str]] = {}
         self._postings: dict[str, set[str]] = {}
+        self._weighted: dict[str, tuple[Vector, float]] = {}
 
     def add(self, doc_id: str, text: str | Sequence[str]) -> None:
-        """Add or replace a document; the index refits lazily."""
+        """Add or replace a document; the next search absorbs it."""
         self._raw_documents[doc_id] = text
-        self._vectors = {}
+        self._dirty.add(doc_id)
 
     def remove(self, doc_id: str) -> None:
         """Drop a document from the index."""
-        self._raw_documents.pop(doc_id, None)
-        self._vectors = {}
+        if self._raw_documents.pop(doc_id, None) is not None:
+            self._dirty.add(doc_id)
 
-    def _ensure_fitted(self) -> None:
-        if self._vectors or not self._raw_documents:
+    def _absorb_dirty(self) -> None:
+        if not self._dirty:
             return
-        self._vectorizer.fit(self._raw_documents.values())
-        self._postings = {}
-        for doc_id, text in self._raw_documents.items():
-            vector = self._vectorizer.transform(text)
-            self._vectors[doc_id] = vector
-            for term in vector:
-                self._postings.setdefault(term, set()).add(doc_id)
+        before = len(self._counts)
+        for doc_id in self._dirty:
+            for term in self._counts.pop(doc_id, ()):
+                self._postings[term].discard(doc_id)
+            self._weighted.pop(doc_id, None)
+            if doc_id in self._raw_documents:
+                counts = self._vectorizer.analyze(self._raw_documents[doc_id])
+                self._counts[doc_id] = counts
+                for term in counts:
+                    self._postings.setdefault(term, set()).add(doc_id)
+        self._dirty.clear()
+        old_idf = self._vectorizer._idf
+        self._vectorizer.fit(self._counts.values())
+        new_idf = self._vectorizer._idf
+        for term in old_idf.keys() - new_idf.keys():
+            del self._postings[term]  # its last document left
+        if len(self._counts) != before:
+            self._weighted.clear()  # N is in every IDF
+            return
+        for term, idf in new_idf.items():
+            if old_idf.get(term) != idf:
+                for doc_id in self._postings[term]:
+                    self._weighted.pop(doc_id, None)
+
+    def _weigh(self, doc_id: str) -> tuple[Vector, float]:
+        vector = self._vectorizer.transform(self._counts[doc_id])
+        entry = self._weighted[doc_id] = (vector, _norm(vector))
+        return entry
 
     def search(self, query: str, limit: int = 10) -> list[tuple[str, float]]:
         """Top ``limit`` documents by cosine similarity to ``query``."""
-        self._ensure_fitted()
+        self._absorb_dirty()
         query_vector = self._vectorizer.transform(query)
+        query_norm = _norm(query_vector)
         candidates: set[str] = set()
         for term in query_vector:
             candidates.update(self._postings.get(term, ()))
-        scored = [
-            (doc_id, cosine_similarity(query_vector, self._vectors[doc_id]))
-            for doc_id in candidates
-        ]
-        scored = [(doc_id, score) for doc_id, score in scored if score > 0.0]
+        scored = []
+        for doc_id in candidates:
+            vector, norm = self._weighted.get(doc_id) or self._weigh(doc_id)
+            # cosine_similarity's arithmetic: the shorter vector drives the dot.
+            short, long = (
+                (vector, query_vector) if len(vector) < len(query_vector) else (query_vector, vector)
+            )
+            dot = sum(weight * long.get(term, 0.0) for term, weight in short.items())
+            score = dot / (query_norm * norm)
+            if score > 0.0:
+                scored.append((doc_id, score))
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:limit]
 

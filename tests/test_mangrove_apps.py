@@ -139,6 +139,26 @@ class TestInstantGratification:
         typed = search.search("history", type_name="course")
         assert [h.subject for h in typed] == ["c1"]
 
+    def test_semantic_search_filters_by_type_before_truncating(self, store):
+        for i in range(50):
+            store.add_all(
+                [
+                    Triple(f"c{i:02}", "rdf:type", "course", "u"),
+                    Triple(f"c{i:02}", "course.title", "history", "u"),
+                ]
+            )
+        store.add_all(
+            [
+                Triple("p1", "rdf:type", "person", "u"),
+                Triple("p1", "person.name", "Herodotus, father of history", "u"),
+            ]
+        )
+        search = SemanticSearch(store)
+        untyped = search.search("history")
+        assert [h.subject for h in untyped] == [f"c{i:02}" for i in range(10)]
+        assert [h.subject for h in search.search("history", type_name="person")] == ["p1"]
+        assert search.search("history", type_name="course") == untyped
+
 
 class TestCleaningPolicies:
     def seed_conflict(self, store):
