@@ -218,17 +218,6 @@ def unify(a: Term, b: Term, subst: Subst | None = None) -> Subst | None:
     return extended if _unify_into(a, b, extended) else None
 
 
-def unify_atoms(a: Atom, b: Atom, subst: Subst | None = None) -> Subst | None:
-    """Unify two atoms (same predicate, pairwise-unifiable arguments)."""
-    if a.predicate != b.predicate or len(a.args) != len(b.args):
-        return None
-    extended = {} if subst is None else dict(subst)
-    for arg_a, arg_b in zip(a.args, b.args):
-        if not _unify_into(arg_a, arg_b, extended):
-            return None
-    return extended
-
-
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """``head :- body`` where every head variable appears in the body.
@@ -273,20 +262,23 @@ class ConjunctiveQuery:
 
     def canonical(self) -> tuple:
         """A canonical fingerprint invariant under variable renaming."""
-        numbering: dict[Var, int] = {}
+        numbering: dict[Var, tuple] = {}
 
         def normalize(term: Term):
             term = _unconst(term)
             if isinstance(term, Var):
-                if term not in numbering:
-                    numbering[term] = len(numbering)
-                return ("var", numbering[term])
+                return numbering.setdefault(term, ("var", len(numbering)))
             if isinstance(term, Func):
                 return ("func", term.name, tuple(normalize(arg) for arg in term.args))
             return ("const", term)
 
         def normalize_atom(atom: Atom):
-            return (atom.predicate, tuple(normalize(arg) for arg in atom.args))
+            # Plain variables inline: every search state is fingerprinted here.
+            return (atom.predicate, tuple([
+                numbering.setdefault(arg, ("var", len(numbering)))
+                if arg.__class__ is Var else normalize(arg)
+                for arg in atom.args
+            ]))
 
         head = normalize_atom(self.head)
         # Sort body atoms by a rename-independent key first; ties broken
@@ -311,18 +303,6 @@ class Rule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
-
-    def rename(self, suffix: str) -> "Rule":
-        """Fresh-rename all rule variables with ``suffix``."""
-        variables: set[Var] = self.head.variables()
-        for atom in self.body:
-            variables |= atom.variables()
-        mapping: Subst = {var: Var(f"{var.name}~{suffix}") for var in variables}
-        return Rule(
-            apply_subst_atom(self.head, mapping),
-            tuple(apply_subst_atom(atom, mapping) for atom in self.body),
-            self.label,
-        )
 
     def __repr__(self) -> str:
         return f"{self.head!r} <- {', '.join(map(repr, self.body))}"

@@ -2,18 +2,13 @@
 
 The rule-goal tree (:mod:`repro.piazza.reformulation`) expands a goal
 atom by trying every compiled mapping rule whose head predicate matches.
-At the 5-10 peer scale of the original experiments that lookup cost is
-noise; at the hundreds-of-peers scale ``datasets/pdms_gen.py`` generates
-it is paid per :func:`~repro.piazza.reformulation.reformulate` call
-(rebuilding the by-head dictionary over every rule) and per goal
-expansion (renaming rules that can never contribute).  This module is
-the same index-accelerate-and-prove-parity move PR 1 made for corpus
-search (:mod:`repro.search`), applied to the PDMS hot path:
+At the hundreds-of-peers scale ``datasets/pdms_gen.py`` generates, that
+lookup, and expanding rules that can never contribute, are paid per
+call and per goal unless indexed once per rule set:
 
-* **by-head index** — ``head predicate -> [(rule position, entry)]``,
-  built once per rule set and cached on the :class:`~repro.piazza.peer.PDMS`
-  (invalidated whenever a peer, mapping or storage description is
-  added), instead of once per reformulation call;
+* **by-head index** — ``head predicate -> [RuleEntry]``, cached on the
+  :class:`~repro.piazza.peer.PDMS` (invalidated whenever a peer, mapping
+  or storage description is added);
 
 * **productive-predicate closure** — the least fixpoint of "a predicate
   is *productive* iff it is a stored relation or some rule derives it
@@ -29,9 +24,9 @@ search (:mod:`repro.search`), applied to the PDMS hot path:
   "mapping-graph reachability" the executor and the benchmarks use to
   size a query's relevant sub-network without running the search.
 
-* **pre-extracted rule variables** — renaming a rule apart is the inner
-  loop of reformulation; caching each rule's variable set shaves the
-  repeated ``variables()`` tree walks off every expansion.
+* **compiled rule templates** — each entry compiles its rule once, on
+  first use, into a :class:`RuleTemplate` of numbered variable slots, so
+  a goal expansion fills slots instead of renaming the rule apart.
 
 Parity contract: indexing only ever *removes provably dead* candidate
 rules, so the rewriting set of an indexed reformulation is identical to
@@ -42,9 +37,55 @@ the gap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
-from repro.piazza.datalog import Rule, Subst, Var, apply_subst_atom
+from repro.piazza.datalog import Func, Rule, Var, apply_subst_atom
+
+
+@dataclass(frozen=True)
+class RuleTemplate:
+    """A rule compiled for expansion, its variables numbered as *slots*.
+
+    An argument template is a cell index or a Skolem ``(name, argument
+    templates)``; ``cells`` holds ``None`` per slot and each constant.
+    """
+
+    arity: int
+    cells: tuple
+    binds: tuple[tuple[int, int], ...]  # (head position, slot) taking the goal's argument
+    checks: tuple[tuple[int, object], ...]  # (head position, template) to unify
+    fresh: tuple[tuple[int, str], ...]  # (slot, variable name) the head leaves unbound
+    body: tuple[tuple[str, tuple], ...]  # (predicate, argument templates)
+
+    @classmethod
+    def compile(cls, rule: Rule) -> "RuleTemplate":
+        """Number the rule's variables and constants into cells."""
+        cells: list = []
+        slots: dict[Var, int] = {}
+
+        def template(term):
+            if isinstance(term, Func):
+                return (term.name, tuple(template(arg) for arg in term.args))
+            if isinstance(term, Var):
+                if term not in slots:
+                    slots[term] = len(cells)
+                    cells.append(None)
+                return slots[term]
+            cells.append(term)
+            return len(cells) - 1
+
+        head, body = apply_subst_atom(rule.head, {}), []  # strips Const wrappers
+        binds, checks = [], []
+        for position, arg in enumerate(head.args):
+            plain = isinstance(arg, Var) and arg not in slots  # first, outside a Skolem
+            (binds if plain else checks).append((position, template(arg)))
+        for atom in rule.body:
+            args = apply_subst_atom(atom, {}).args
+            body.append((atom.predicate, tuple(template(arg) for arg in args)))
+        bound = {slot for _, slot in binds}
+        fresh = tuple((slot, var.name) for var, slot in slots.items() if slot not in bound)
+        return cls(len(head.args), tuple(cells), tuple(binds), tuple(checks), fresh, tuple(body))
 
 
 @dataclass(frozen=True)
@@ -54,16 +95,21 @@ class RuleEntry:
     position: int  # stable position in the original rule list
     rule: Rule
     body_predicates: frozenset[str]
-    variables: tuple[Var, ...]  # all head+body variables, sorted by name
 
-    def rename(self, suffix: str) -> Rule:
-        """Fresh-rename via the cached variable set (no tree re-walk)."""
-        mapping: Subst = {var: Var(f"{var.name}~{suffix}") for var in self.variables}
-        return Rule(
-            apply_subst_atom(self.rule.head, mapping),
-            tuple(apply_subst_atom(atom, mapping) for atom in self.rule.body),
-            self.rule.label,
+    @cached_property
+    def template(self) -> RuleTemplate:
+        """The compiled rule, built on first expansion and kept here."""
+        return RuleTemplate.compile(self.rule)
+
+
+def entries_by_head(rules: list[Rule]) -> dict[str, list[RuleEntry]]:
+    """``head predicate -> [RuleEntry]`` in rule-list order."""
+    by_head: dict[str, list[RuleEntry]] = {}
+    for position, rule in enumerate(rules):
+        by_head.setdefault(rule.head.predicate, []).append(
+            RuleEntry(position, rule, frozenset(atom.predicate for atom in rule.body))
         )
+    return by_head
 
 
 @dataclass
@@ -87,22 +133,10 @@ class MappingIndex:
 
     def __init__(self, rules: list[Rule], edb_predicates: set[str]):  # noqa: D107
         self.edb_predicates = frozenset(edb_predicates)
-        self._by_head: dict[str, list[RuleEntry]] = {}
+        self._by_head = entries_by_head(rules)
         self._relevant: dict[str, tuple[RuleEntry, ...]] = {}
         self._reachable: dict[str, frozenset[str]] = {}
         self.stats = IndexStats(rules=len(rules))
-
-        for position, rule in enumerate(rules):
-            variables: set[Var] = rule.head.variables()
-            for atom in rule.body:
-                variables |= atom.variables()
-            entry = RuleEntry(
-                position=position,
-                rule=rule,
-                body_predicates=frozenset(atom.predicate for atom in rule.body),
-                variables=tuple(sorted(variables, key=lambda v: v.name)),
-            )
-            self._by_head.setdefault(rule.head.predicate, []).append(entry)
 
         self._productive = self._productive_closure()
         for head, entries in self._by_head.items():
@@ -154,10 +188,6 @@ class MappingIndex:
         """Relevant (dead-end-free) rules whose head is ``predicate``."""
         return self._relevant.get(predicate, ())
 
-    def all_rules_for(self, predicate: str) -> tuple[RuleEntry, ...]:
-        """Every indexed rule for ``predicate`` (including dead ends)."""
-        return tuple(self._by_head.get(predicate, ()))
-
     def dead_rules_for(self, predicate: str) -> int:
         """How many of ``predicate``'s rules the relevance closure drops."""
         return len(self._by_head.get(predicate, ())) - len(
@@ -191,13 +221,7 @@ class MappingIndex:
 
     def stats_snapshot(self) -> dict:
         """Index sizes for dashboards and benchmark tables."""
-        return {
-            "rules": self.stats.rules,
-            "head_predicates": self.stats.head_predicates,
-            "productive_predicates": self.stats.productive_predicates,
-            "dead_rules": self.stats.dead_rules,
-            "edb_predicates": len(self.edb_predicates),
-        }
+        return {**asdict(self.stats), "edb_predicates": len(self.edb_predicates)}
 
     def __len__(self) -> int:
         return self.stats.rules

@@ -10,12 +10,17 @@ inclusions compiled to inverse rules, a single mechanism subsumes both
 "query unfolding" (GAV) and "reformulation using views" (LAV), exactly
 as the paper describes.
 
+A search state is the *resolved* partial rewriting (pending goals and
+query head, every binding applied), and a goal is expanded by filling
+in its rule's compiled :class:`~repro.piazza.mapping_index.RuleTemplate`
+positionally: nothing is renamed apart and no substitution is threaded.
+
 The paper notes the algorithm "is aided by heuristics that prune
 redundant and irrelevant paths through the space of mappings"; here
 those are (ablated in benchmark C3):
 
-* **goal memoization** — a canonicalized (pending goals) state already
-  explored is not re-expanded;
+* **goal memoization** — a state whose canonicalized (head, pending
+  goals) was already explored is not re-expanded;
 * **per-path rule budget** — each rule may be used at most
   ``max_rule_uses`` times along one root-to-leaf path, bounding cycles;
 * **duplicate-goal collapsing** — syntactically identical pending goals
@@ -29,7 +34,7 @@ serves each goal expansion from the cached by-head-predicate rule lists
 and skips rules whose bodies can never reach a stored relation (the
 relevance closure).  The result counters then also report ``index_hits``
 (expansions served by the index) and ``rules_skipped`` (dead-end rules
-never renamed or unified).  Indexing never changes the rewriting set —
+never tried).  Indexing never changes the rewriting set —
 only the work done to find it (parity: ``tests/test_pdms_scale.py``;
 speed: ``benchmarks/bench_c11_pdms_scale.py``).
 """
@@ -41,15 +46,17 @@ from dataclasses import dataclass
 from repro.piazza.datalog import (
     Atom,
     ConjunctiveQuery,
+    Func,
     Rule,
     Subst,
+    Var,
+    apply_subst,
     apply_subst_atom,
     fresh_suffix,
-    has_skolem,
-    is_ground,
     minimize_union,
-    unify_atoms,
+    unify,
 )
+from repro.piazza.mapping_index import RuleTemplate, entries_by_head
 
 
 @dataclass
@@ -60,7 +67,7 @@ class ReformulationResult:
     was served by a :class:`~repro.piazza.mapping_index.MappingIndex`:
     the former counts goal expansions answered from the index, the
     latter counts candidate rules the relevance closure proved dead and
-    never renamed or unified.
+    never tried.
     """
 
     rewritings: list[ConjunctiveQuery]
@@ -77,23 +84,41 @@ class ReformulationResult:
         return len(self.rewritings)
 
 
-@dataclass
-class _SearchState:
-    goals: tuple  # pending atoms (subst NOT applied)
-    subst: Subst
-    depth: int
-    rule_uses: dict
+def _build(template, cells: list):
+    """Instantiate a :class:`RuleTemplate` argument over filled cells."""
+    if template.__class__ is int:
+        return cells[template]
+    name, args = template
+    return Func(name, tuple(_build(arg, cells) for arg in args))
 
 
-def _resolved_goals(goals: tuple, subst: Subst) -> tuple:
-    return tuple(apply_subst_atom(goal, subst) for goal in goals)
-
-
-def _state_fingerprint(goals: tuple, subst: Subst) -> tuple:
-    """Canonical fingerprint of the pending goals under the substitution."""
-    resolved = _resolved_goals(goals, subst)
-    fake_query = ConjunctiveQuery(Atom("__goals__", ()), resolved)
-    return fake_query.canonical()
+def _expand(goal: Atom, template: RuleTemplate, rest: tuple, head: Atom):
+    """The child state's goals (rule body, then ``rest``) and head, or
+    ``None`` if the rule head cannot match ``goal``.  Head slots take the
+    goal's arguments; only constants, Skolems and repeated variables are
+    unified, and only a binding they make rewrites ``rest`` and ``head``."""
+    if len(goal.args) != template.arity:
+        return None
+    cells = list(template.cells)
+    for position, slot in template.binds:
+        cells[slot] = goal.args[position]
+    suffix = fresh_suffix() if template.fresh else ""
+    for slot, name in template.fresh:
+        cells[slot] = Var(f"{name}~{suffix}")
+    bound: Subst | None = {}
+    for position, term in template.checks:
+        bound = unify(goal.args[position], _build(term, cells), bound)
+        if bound is None:
+            return None
+    if bound:
+        cells = [apply_subst(cell, bound) for cell in cells]
+        rest = tuple(apply_subst_atom(atom, bound) for atom in rest)
+        head = apply_subst_atom(head, bound)
+    body = tuple(
+        Atom(predicate, tuple([_build(arg, cells) for arg in args]))
+        for predicate, args in template.body
+    )
+    return body + rest, head
 
 
 def reformulate(
@@ -118,44 +143,36 @@ def reformulate(
     per-call by-head dictionary build with cached lookups and skips
     relevance-pruned rules; the rewriting set is identical either way.
     """
-    rules_by_predicate: dict[str, list[tuple[int, Rule]]] = {}
-    if index is None:
-        for position, rule in enumerate(rules):
-            rules_by_predicate.setdefault(rule.head.predicate, []).append(
-                (position, rule)
-            )
-
+    by_head = entries_by_head(rules) if index is None else {}
     result = ReformulationResult(rewritings=[])
     seen_states: set[tuple] = set()
     seen_rewritings: set[tuple] = set()
 
-    stack = [_SearchState(goals=tuple(query.body), subst={}, depth=0, rule_uses={})]
+    # A state is (goals, head, depth, rule uses), resolved and Const-free.
+    goals = tuple(apply_subst_atom(atom, {}) for atom in query.body)
+    stack = [(goals, apply_subst_atom(query.head, {}), 0, {})]
     while stack:
-        state = stack.pop()
+        goals, head, depth, rule_uses = stack.pop()
         if len(result.rewritings) >= max_rewritings:
             break
         # Find the first goal not over a stored relation.
         pending_index = None
-        for goal_position, goal in enumerate(state.goals):
+        for goal_position, goal in enumerate(goals):
             if goal.predicate not in edb_predicates:
                 pending_index = goal_position
                 break
         if pending_index is None:
-            # Complete rewriting: all goals are stored relations.
-            resolved = _resolved_goals(state.goals, state.subst)
-            head = apply_subst_atom(query.head, state.subst)
-            if any(has_skolem(arg) for arg in head.args):
-                result.nodes_pruned += 1
-                continue
-            if any(
-                has_skolem(arg) for atom in resolved for arg in atom.args
+            # Complete rewriting: all goals are stored relations.  A Skolem
+            # (a Func: resolved terms carry no Const wrappers) in the answer,
+            # or against stored data, can never match.
+            if any(isinstance(arg, Func) for arg in head.args) or any(
+                isinstance(arg, Func) for atom in goals for arg in atom.args
             ):
-                # A Skolem against stored data can never match.
                 result.nodes_pruned += 1
                 continue
             if prune:
-                resolved = tuple(dict.fromkeys(resolved))  # collapse duplicates
-            rewriting = ConjunctiveQuery(head, resolved)
+                goals = tuple(dict.fromkeys(goals))  # collapse duplicates
+            rewriting = ConjunctiveQuery(head, goals)
             fingerprint = rewriting.canonical()
             if fingerprint in seen_rewritings:
                 result.nodes_pruned += 1
@@ -164,17 +181,17 @@ def reformulate(
             result.rewritings.append(rewriting)
             continue
 
-        if state.depth >= max_depth:
+        if depth >= max_depth:
             result.depth_limit_hit = True
             continue
 
-        goal = apply_subst_atom(state.goals[pending_index], state.subst)
-        rest = state.goals[:pending_index] + state.goals[pending_index + 1 :]
+        goal = goals[pending_index]
+        rest = goals[:pending_index] + goals[pending_index + 1 :]
 
         if prune:
-            fingerprint = ("expand", goal.predicate) + _state_fingerprint(
-                (goal,) + rest, state.subst
-            )
+            # Keyed on the head too: alpha-equal goals that bind the
+            # answer variables differently are different states.
+            fingerprint = (goal.predicate, ConjunctiveQuery(head, (goal,) + rest).canonical())
             if fingerprint in seen_states:
                 result.nodes_pruned += 1
                 continue
@@ -186,44 +203,20 @@ def reformulate(
             result.rules_skipped += index.dead_rules_for(goal.predicate)
             candidates = index.rules_for(goal.predicate)
         else:
-            candidates = rules_by_predicate.get(goal.predicate, ())
-        for candidate in candidates:
-            # Indexed candidates are RuleEntry (cached variable sets);
-            # unindexed ones are (position, Rule).  Both rename to a Rule.
-            if index is not None:
-                rule_index, renameable = candidate.position, candidate
-            else:
-                rule_index, renameable = candidate
-            uses = state.rule_uses.get(rule_index, 0)
+            candidates = by_head.get(goal.predicate, ())
+        for entry in candidates:
+            uses = rule_uses.get(entry.position, 0)
             if uses >= max_rule_uses:
                 result.nodes_pruned += 1
                 continue
-            fresh = renameable.rename(fresh_suffix())
-            unified = unify_atoms(goal, fresh.head, state.subst)
-            if unified is None:
+            child = _expand(goal, entry.template, rest, head)
+            if child is None:
                 continue
-            new_uses = dict(state.rule_uses)
-            new_uses[rule_index] = uses + 1
-            new_goals = fresh.body + rest
+            new_goals, new_head = child
             if prune:
-                # Collapse syntactically identical resolved goals early.
-                resolved = _resolved_goals(new_goals, unified)
-                deduped: list[Atom] = []
-                seen_atoms: set[Atom] = set()
-                for original, resolved_atom in zip(new_goals, resolved):
-                    if resolved_atom in seen_atoms:
-                        continue
-                    seen_atoms.add(resolved_atom)
-                    deduped.append(original)
-                new_goals = tuple(deduped)
-            stack.append(
-                _SearchState(
-                    goals=tuple(new_goals),
-                    subst=unified,
-                    depth=state.depth + 1,
-                    rule_uses=new_uses,
-                )
-            )
+                new_goals = tuple(dict.fromkeys(new_goals))  # collapse duplicates
+            new_uses = {**rule_uses, entry.position: uses + 1}
+            stack.append((new_goals, new_head, depth + 1, new_uses))
 
     if minimize and len(result.rewritings) > 1:
         result.rewritings = minimize_union(result.rewritings)

@@ -22,9 +22,8 @@ from repro.piazza.datalog import (
     minimize_union,
     term_depth,
     unify,
-    unify_atoms,
 )
-from repro.piazza.parse import parse_atom, parse_query, parse_rule
+from repro.piazza.parse import parse_query, parse_rule
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -66,16 +65,6 @@ class TestUnify:
         subst = unify(Func("f", (X,)), Func("f", ("a",)))
         assert subst == {X: "a"}
         assert unify(Func("f", (X,)), Func("g", ("a",))) is None
-
-    def test_atom_unification(self):
-        a = parse_atom("r(X, b)")
-        b = parse_atom("r(a, Y)")
-        subst = unify_atoms(a, b)
-        assert apply_subst(Var("x"), subst) == "a"
-        assert apply_subst(Var("y"), subst) == "b"
-
-    def test_atom_arity_mismatch(self):
-        assert unify_atoms(parse_atom("r(X)"), parse_atom("r(X, Y)")) is None
 
     def test_never_mutates_input(self):
         subst = {X: "a"}

@@ -1,9 +1,27 @@
 """Tests for the rule-goal-tree reformulation engine and its pruning."""
 
-from repro.piazza import PDMS
-from repro.piazza.datalog import evaluate_union
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.datasets.pdms_gen import random_tree_pdms
+from repro.piazza import PDMS, MappingIndex
+from repro.piazza.datalog import (
+    Atom,
+    ConjunctiveQuery,
+    Const,
+    Func,
+    Rule,
+    Var,
+    apply_subst_atom,
+    certain_answers,
+    evaluate_union,
+    fresh_suffix,
+    has_skolem,
+    minimize_union,
+    unify,
+)
 from repro.piazza.parse import parse_query, parse_rule
-from repro.piazza.reformulation import reformulate
+from repro.piazza.reformulation import ReformulationResult, reformulate
 
 
 def chain_pdms(length: int, branching: int = 1) -> PDMS:
@@ -49,6 +67,11 @@ class TestBasicReformulation:
         result = pdms.reformulate("q(B) :- p1.r('x', B)")
         answers = evaluate_union(result.rewritings, pdms.instance())
         assert answers == {("y",)}
+
+    def test_rule_head_of_other_arity_never_matches(self):
+        rules = [parse_rule("p.r(X) :- s!a(X)"), parse_rule("p.r(X, Y) :- s!b(X, Y)")]
+        result = reformulate(parse_query("q(X) :- p.r(X, Y)"), rules, {"s!a", "s!b"})
+        assert [r.body[0].predicate for r in result.rewritings] == ["s!b"]
 
 
 class TestPruning:
@@ -158,3 +181,246 @@ class TestSearchCounters:
         assert result.nodes_expanded > 0
         assert len(result) == len(result.rewritings)
         assert list(iter(result)) == result.rewritings
+
+
+class TestMemoKeyedOnHead:
+    RULES = [
+        parse_rule("r(A, B) :- s(A, B)"),
+        parse_rule("r(A, B) :- s(B, A)"),
+        parse_rule("s(A, B) :- t(A, B)"),
+    ]
+    QUERY = parse_query("q(X) :- r(X, Y)")
+    INSTANCE = {"t": {(1, 2)}}
+
+    def test_alpha_equal_goals_with_different_heads_both_expand(self):
+        # Both r-rules leave the goal s(_, _) pending, but one binds the
+        # answer X to s's first argument and the other to its second.
+        result = reformulate(self.QUERY, self.RULES, {"t"})
+        assert len(result.rewritings) == 2
+        unpruned = reformulate(self.QUERY, self.RULES, {"t"}, prune=False)
+        assert len(unpruned.rewritings) == 2
+
+    def test_answers_equal_certain_answers(self):
+        answers = evaluate_union(
+            reformulate(self.QUERY, self.RULES, {"t"}).rewritings, self.INSTANCE
+        )
+        assert answers == {(1,), (2,)}
+        assert answers == certain_answers(self.QUERY, self.INSTANCE, self.RULES)
+
+
+# -- differential: the substitution-threading search --------------------------
+
+
+def _unify_args(goal_args, head_args, subst):
+    if len(goal_args) != len(head_args):
+        return None
+    for goal_arg, head_arg in zip(goal_args, head_args):
+        subst = unify(goal_arg, head_arg, subst)
+        if subst is None:
+            return None
+    return subst
+
+
+def _reference_reformulate(
+    query, rules, edb_predicates, max_depth=16, max_rule_uses=2, prune=True,
+    minimize=True, max_rewritings=10_000, index=None,
+):
+    """The search before rule templates, as an oracle: every candidate rule
+    is renamed apart and unified, the substitution grows down each path,
+    goals are resolved lazily, and the memo key is the resolved
+    ``(head, goals)``."""
+    by_head = {}
+    for position, rule in enumerate(rules):
+        by_head.setdefault(rule.head.predicate, []).append((position, rule))
+    result = ReformulationResult(rewritings=[])
+    seen_states, seen_rewritings = set(), set()
+    stack = [(tuple(query.body), {}, 0, {})]
+    while stack:
+        goals, subst, depth, rule_uses = stack.pop()
+        if len(result.rewritings) >= max_rewritings:
+            break
+        pending = next(
+            (i for i, goal in enumerate(goals) if goal.predicate not in edb_predicates),
+            None,
+        )
+        head = apply_subst_atom(query.head, subst)
+        if pending is None:
+            resolved = tuple(apply_subst_atom(goal, subst) for goal in goals)
+            if any(has_skolem(arg) for arg in head.args) or any(
+                has_skolem(arg) for atom in resolved for arg in atom.args
+            ):
+                result.nodes_pruned += 1
+                continue
+            if prune:
+                resolved = tuple(dict.fromkeys(resolved))
+            rewriting = ConjunctiveQuery(head, resolved)
+            if rewriting.canonical() in seen_rewritings:
+                result.nodes_pruned += 1
+                continue
+            seen_rewritings.add(rewriting.canonical())
+            result.rewritings.append(rewriting)
+            continue
+        if depth >= max_depth:
+            result.depth_limit_hit = True
+            continue
+        goal = apply_subst_atom(goals[pending], subst)
+        rest = goals[:pending] + goals[pending + 1 :]
+        if prune:
+            resolved = (goal,) + tuple(apply_subst_atom(atom, subst) for atom in rest)
+            fingerprint = (goal.predicate, ConjunctiveQuery(head, resolved).canonical())
+            if fingerprint in seen_states:
+                result.nodes_pruned += 1
+                continue
+            seen_states.add(fingerprint)
+        result.nodes_expanded += 1
+        if index is not None:
+            result.index_hits += 1
+            result.rules_skipped += index.dead_rules_for(goal.predicate)
+            candidates = [(e.position, e.rule) for e in index.rules_for(goal.predicate)]
+        else:
+            candidates = by_head.get(goal.predicate, ())
+        for position, rule in candidates:
+            uses = rule_uses.get(position, 0)
+            if uses >= max_rule_uses:
+                result.nodes_pruned += 1
+                continue
+            fresh = ConjunctiveQuery(rule.head, rule.body).rename(fresh_suffix())
+            unified = _unify_args(goal.args, fresh.head.args, subst)
+            if unified is None:
+                continue
+            new_goals = fresh.body + rest
+            if prune:
+                kept, seen_atoms = [], set()
+                for atom in new_goals:
+                    resolved_atom = apply_subst_atom(atom, unified)
+                    if resolved_atom not in seen_atoms:
+                        seen_atoms.add(resolved_atom)
+                        kept.append(atom)
+                new_goals = tuple(kept)
+            stack.append((new_goals, unified, depth + 1, {**rule_uses, position: uses + 1}))
+    if minimize and len(result.rewritings) > 1:
+        result.rewritings = minimize_union(result.rewritings)
+    return result
+
+
+_ARITY = {"p.a": 2, "p.b": 3, "s!x": 2, "s!y": 1, "s!z": 3}
+_IDB = ["p.a", "p.b"]
+_EDB = {"s!x", "s!y", "s!z"}
+_variables = st.sampled_from([Var(name) for name in "abcd"])
+_constants = st.sampled_from([1, 2, "k", Const("k")])
+_skolems = st.builds(
+    lambda name, args: Func(name, tuple(args)),
+    st.sampled_from(["f", "g"]),
+    st.lists(_variables, max_size=2),
+)
+_plain_terms = st.one_of(_variables, _variables, _variables, _constants)
+_terms = st.one_of(_variables, _variables, _variables, _constants, _skolems)
+
+
+def _atoms(predicates, terms):
+    return st.sampled_from(predicates).flatmap(
+        lambda predicate: st.tuples(*[terms] * _ARITY[predicate]).map(
+            lambda args: Atom(predicate, args)
+        )
+    )
+
+
+_body_atoms = st.one_of(
+    _atoms(_IDB, _plain_terms), _atoms(sorted(_EDB), _plain_terms),
+    _atoms(sorted(_EDB), _plain_terms),
+)
+_rules = st.lists(
+    st.builds(
+        Rule, _atoms(_IDB, _terms), st.lists(_body_atoms, min_size=1, max_size=2)
+    ),
+    min_size=2,
+    max_size=7,
+)
+
+
+@st.composite
+def _queries(draw):
+    """Multi-atom queries, mostly over peer relations."""
+    atoms = st.one_of(_atoms(_IDB, _terms), _atoms(_IDB, _terms),
+                      _atoms(sorted(_EDB), _terms))
+    body = draw(st.lists(atoms, min_size=1, max_size=3))
+    variables = sorted({v for atom in body for v in atom.variables()}, key=repr)
+    head = draw(st.lists(st.sampled_from(variables), max_size=2)) if variables else []
+    return ConjunctiveQuery(Atom("q", tuple(head)), tuple(body))
+
+
+class TestDifferentialAgainstSubstitutionSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rules=_rules,
+        query=_queries(),
+        prune=st.booleans(),
+        minimize=st.booleans(),
+        indexed=st.booleans(),
+        max_depth=st.integers(1, 5),
+        max_rule_uses=st.integers(1, 2),
+        max_rewritings=st.sampled_from([2, 10_000]),
+    )
+    @example(  # a rule body that repeats an atom: collapsed before expanding
+        rules=[
+            parse_rule("p.a(A, A) :- p.a(A, A), p.a(A, A)"),
+            parse_rule("p.a(A, A) :- s!y(A)"),
+        ],
+        query=parse_query("q() :- p.a(A, A)"),
+        prune=True, minimize=False, indexed=False, max_depth=2, max_rule_uses=1,
+        max_rewritings=2,
+    )
+    def test_same_rewritings_and_counters(
+        self, rules, query, prune, minimize, indexed, max_depth, max_rule_uses,
+        max_rewritings,
+    ):
+        options = dict(
+            prune=prune, minimize=minimize, max_depth=max_depth,
+            max_rule_uses=max_rule_uses, max_rewritings=max_rewritings,
+            index=MappingIndex(rules, _EDB) if indexed else None,
+        )
+        expected = _reference_reformulate(query, rules, _EDB, **options)
+        actual = reformulate(query, rules, _EDB, **options)
+        assert [r.canonical() for r in actual.rewritings] == [
+            r.canonical() for r in expected.rewritings
+        ]
+        for counter in (
+            "nodes_expanded", "nodes_pruned", "rules_skipped", "index_hits",
+            "depth_limit_hit",
+        ):
+            assert getattr(actual, counter) == getattr(expected, counter), counter
+
+
+# -- differential: the chase -----------------------------------------------------
+
+
+class TestDifferentialAgainstChase:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        peers=st.integers(2, 6),
+        extra_edges=st.integers(0, 3),
+        dataless_peers=st.integers(0, 2),
+        join=st.booleans(),
+    )
+    def test_answers_sound_and_complete_on_trees(
+        self, seed, peers, extra_edges, dataless_peers, join
+    ):
+        pdms = random_tree_pdms(
+            peers, seed=seed, courses=2, extra_edges=extra_edges,
+            dataless_peers=dataless_peers,
+        )
+        gold = pdms.generator_info["golds"]["p0"]
+        query = f"q(?t, ?n) :- p0.{gold['course']}(?c, ?t, ?n, ?w, ?l, ?en, ?d)"
+        if join:
+            query = (
+                f"q(?t, ?e) :- p0.{gold['course']}(?c, ?t, ?n, ?w, ?l, ?en, ?d), "
+                f"p0.{gold['instructor']}(?i, ?n, ?e, ?ph, ?o)"
+            )
+        answers = pdms.answer(query)
+        certain = pdms.certain(query)
+        assert answers <= certain
+        graph = pdms.mapping_graph()
+        tree = sum(map(len, graph.values())) // 2 == len(graph) - 1
+        if tree and not pdms.reformulate(query).depth_limit_hit:
+            assert answers == certain
