@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 Instance = dict[str, set[tuple]]
 
@@ -304,8 +305,58 @@ class Rule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
 
+    @cached_property
+    def template(self) -> "RuleTemplate":
+        """The rule compiled for expansion, once per rule object."""
+        return RuleTemplate.compile(self)
+
     def __repr__(self) -> str:
         return f"{self.head!r} <- {', '.join(map(repr, self.body))}"
+
+
+@dataclass(frozen=True)
+class RuleTemplate:
+    """A rule compiled for expansion, its variables numbered as *slots*.
+
+    An argument template is a cell index or a Skolem ``(name, argument
+    templates)``; ``cells`` holds ``None`` per slot and each constant.
+    """
+
+    arity: int
+    cells: tuple
+    binds: tuple[tuple[int, int], ...]  # (head position, slot) taking the goal's argument
+    checks: tuple[tuple[int, object], ...]  # (head position, template) to unify
+    fresh: tuple[tuple[int, str], ...]  # (slot, variable name) the head leaves unbound
+    body: tuple[tuple[str, tuple], ...]  # (predicate, argument templates)
+
+    @classmethod
+    def compile(cls, rule: Rule) -> "RuleTemplate":
+        """Number the rule's variables and constants into cells."""
+        cells: list = []
+        slots: dict[Var, int] = {}
+
+        def template(term):
+            if isinstance(term, Func):
+                return (term.name, tuple(template(arg) for arg in term.args))
+            if isinstance(term, Var):
+                if term not in slots:
+                    slots[term] = len(cells)
+                    cells.append(None)
+                return slots[term]
+            cells.append(term)
+            return len(cells) - 1
+
+        head, body = apply_subst_atom(rule.head, {}), []  # strips Const wrappers
+        binds, checks = [], []
+        for position, arg in enumerate(head.args):
+            plain = isinstance(arg, Var) and arg not in slots  # first, outside a Skolem
+            (binds if plain else checks).append((position, template(arg)))
+        for atom in rule.body:
+            args = apply_subst_atom(atom, {}).args
+            body.append((atom.predicate, tuple(template(arg) for arg in args)))
+        bound = {slot for _, slot in binds}
+        fresh = tuple((slot, var.name) for var, slot in slots.items() if slot not in bound)
+        return cls(len(head.args), tuple(cells), tuple(binds), tuple(checks), fresh, tuple(body))
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -7,8 +7,8 @@ lookup, and expanding rules that can never contribute, are paid per
 call and per goal unless indexed once per rule set:
 
 * **by-head index** — ``head predicate -> [RuleEntry]``, cached on the
-  :class:`~repro.piazza.peer.PDMS` (invalidated whenever a peer, mapping
-  or storage description is added);
+  :class:`~repro.piazza.peer.PDMS`, rebuilt once per topology from rules
+  compiled once per mapping, when it was registered;
 
 * **productive-predicate closure** — the least fixpoint of "a predicate
   is *productive* iff it is a stored relation or some rule derives it
@@ -24,9 +24,10 @@ call and per goal unless indexed once per rule set:
   "mapping-graph reachability" the executor and the benchmarks use to
   size a query's relevant sub-network without running the search.
 
-* **compiled rule templates** — each entry compiles its rule once, on
-  first use, into a :class:`RuleTemplate` of numbered variable slots, so
-  a goal expansion fills slots instead of renaming the rule apart.
+* **compiled rule templates** — each rule compiles once, on first use,
+  into a :class:`~repro.piazza.datalog.RuleTemplate` of numbered
+  variable slots that outlives index rebuilds (``Rule.template``), so a
+  goal expansion fills slots instead of renaming the rule apart.
 
 Parity contract: indexing only ever *removes provably dead* candidate
 rules, so the rewriting set of an indexed reformulation is identical to
@@ -40,52 +41,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from repro.piazza.datalog import Func, Rule, Var, apply_subst_atom
-
-
-@dataclass(frozen=True)
-class RuleTemplate:
-    """A rule compiled for expansion, its variables numbered as *slots*.
-
-    An argument template is a cell index or a Skolem ``(name, argument
-    templates)``; ``cells`` holds ``None`` per slot and each constant.
-    """
-
-    arity: int
-    cells: tuple
-    binds: tuple[tuple[int, int], ...]  # (head position, slot) taking the goal's argument
-    checks: tuple[tuple[int, object], ...]  # (head position, template) to unify
-    fresh: tuple[tuple[int, str], ...]  # (slot, variable name) the head leaves unbound
-    body: tuple[tuple[str, tuple], ...]  # (predicate, argument templates)
-
-    @classmethod
-    def compile(cls, rule: Rule) -> "RuleTemplate":
-        """Number the rule's variables and constants into cells."""
-        cells: list = []
-        slots: dict[Var, int] = {}
-
-        def template(term):
-            if isinstance(term, Func):
-                return (term.name, tuple(template(arg) for arg in term.args))
-            if isinstance(term, Var):
-                if term not in slots:
-                    slots[term] = len(cells)
-                    cells.append(None)
-                return slots[term]
-            cells.append(term)
-            return len(cells) - 1
-
-        head, body = apply_subst_atom(rule.head, {}), []  # strips Const wrappers
-        binds, checks = [], []
-        for position, arg in enumerate(head.args):
-            plain = isinstance(arg, Var) and arg not in slots  # first, outside a Skolem
-            (binds if plain else checks).append((position, template(arg)))
-        for atom in rule.body:
-            args = apply_subst_atom(atom, {}).args
-            body.append((atom.predicate, tuple(template(arg) for arg in args)))
-        bound = {slot for _, slot in binds}
-        fresh = tuple((slot, var.name) for var, slot in slots.items() if slot not in bound)
-        return cls(len(head.args), tuple(cells), tuple(binds), tuple(checks), fresh, tuple(body))
+from repro.piazza.datalog import Rule, RuleTemplate
 
 
 @dataclass(frozen=True)
@@ -98,8 +54,8 @@ class RuleEntry:
 
     @cached_property
     def template(self) -> RuleTemplate:
-        """The compiled rule, built on first expansion and kept here."""
-        return RuleTemplate.compile(self.rule)
+        """The rule's own compiled template, so expansion reads one attribute."""
+        return self.rule.template
 
 
 def entries_by_head(rules: list[Rule]) -> dict[str, list[RuleEntry]]:

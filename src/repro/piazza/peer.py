@@ -21,11 +21,11 @@ Mapping formalisms (Section 3.1.1's "mappings are local"):
   peers' schemas (``exact=True`` compiles both directions);
 * :class:`DefinitionalMapping` — GAV-style view definition.
 
-Caching and scale knobs (everything is invalidated on any topology
-change — ``add_peer`` / ``add_mapping`` / ``add_storage`` /
-``add_definition``):
+Caching and scale knobs — rules compile once per mapping, templates
+once per rule (``Rule.template``), the index closure once per topology:
 
-* ``rules()`` — the compiled rule set, built once per topology;
+* ``rules()`` — the compiled rule set, extended as each description is
+  registered (one that cannot compile is refused, changing nothing);
 * ``mapping_index()`` — the :class:`~repro.piazza.mapping_index.MappingIndex`
   over those rules, served to every :meth:`reformulate` call unless
   ``indexed=False`` requests the brute-force path (the benchmark C11
@@ -384,7 +384,8 @@ class PDMS:
         self.peers: dict[str, Peer] = {}
         self.mappings: list = []
         self.storage: list[StorageDescription] = []
-        self._rules_cache: list[Rule] | None = None
+        self._storage_rules: list[Rule] = []
+        self._mapping_rules: list[Rule] = []
         self._index_cache: MappingIndex | None = None
         self._update_listeners: list = []
         self._topology_version = 0
@@ -396,8 +397,6 @@ class PDMS:
             raise PdmsError(f"peer {name!r} already exists")
         peer = Peer(name)
         self.peers[name] = peer
-        self._rules_cache = None
-        self._index_cache = None
         self._topology_version += 1
         return peer
 
@@ -408,8 +407,8 @@ class PDMS:
         The restart path: :meth:`Peer.restore` replays the log
         (snapshot + updategram tail) into a fresh peer whose data and
         epoch match the pre-crash run, the log stays attached for
-        subsequent mutations, and the topology caches are invalidated
-        just like :meth:`add_peer`.  Continuous queries
+        subsequent mutations, and the topology version bumps just like
+        :meth:`add_peer`.  Continuous queries
         (:class:`~repro.piazza.serving.ViewServer` registrations)
         re-attach by simply re-registering against the recovered data —
         the epoch fidelity is what makes their freshness checks hold.
@@ -418,8 +417,6 @@ class PDMS:
             raise PdmsError(f"peer {name!r} already exists")
         peer = Peer.restore(name, log)
         self.peers[name] = peer
-        self._rules_cache = None
-        self._index_cache = None
         self._topology_version += 1
         return peer
 
@@ -448,11 +445,7 @@ class PDMS:
         if view.head.predicate != qualified:
             view = ConjunctiveQuery(Atom(qualified, view.head.args), view.body)
         description = StorageDescription(view, exact=exact)
-        self.storage.append(description)
-        self._rules_cache = None
-        self._index_cache = None
-        self._topology_version += 1
-        return description
+        return self._register(description, self.storage, self._storage_rules)
 
     def add_mapping(
         self,
@@ -467,22 +460,24 @@ class PDMS:
         if isinstance(target, str):
             target = parse_query(target)
         mapping = InclusionMapping(name, source, target, exact=exact)
-        self.mappings.append(mapping)
-        self._rules_cache = None
-        self._index_cache = None
-        self._topology_version += 1
-        return mapping
+        return self._register(mapping, self.mappings, self._mapping_rules)
 
     def add_definition(self, name: str, definition: str | ConjunctiveQuery) -> DefinitionalMapping:
         """Register a GAV-style definitional mapping."""
         if isinstance(definition, str):
             definition = parse_query(definition)
         mapping = DefinitionalMapping(name, definition)
-        self.mappings.append(mapping)
-        self._rules_cache = None
+        return self._register(mapping, self.mappings, self._mapping_rules)
+
+    def _register(self, description, descriptions: list, rules: list[Rule]):
+        """Compile ``description`` first, so one that cannot compile
+        raises before anything changes; then record it and its rules."""
+        compiled = description.rules()
+        descriptions.append(description)
+        rules.extend(compiled)
         self._index_cache = None
         self._topology_version += 1
-        return mapping
+        return description
 
     def _peer(self, name: str) -> Peer:
         try:
@@ -492,15 +487,9 @@ class PDMS:
 
     # -- compiled views ------------------------------------------------------
     def rules(self) -> list[Rule]:
-        """All mapping + storage rules (cached)."""
-        if self._rules_cache is None:
-            compiled: list[Rule] = []
-            for description in self.storage:
-                compiled.extend(description.rules())
-            for mapping in self.mappings:
-                compiled.extend(mapping.rules())
-            self._rules_cache = compiled
-        return self._rules_cache
+        """All storage rules, then all mapping rules, in registration
+        order; each description was compiled once, when it was added."""
+        return self._storage_rules + self._mapping_rules
 
     def edb_predicates(self) -> set[str]:
         """Qualified names of every stored relation."""
@@ -513,9 +502,10 @@ class PDMS:
     def mapping_index(self) -> MappingIndex:
         """The cached rule index + relevance closure for this topology.
 
-        Rebuilt whenever the compiled rules or the stored-relation set
-        change (``Peer.add_stored`` can grow the latter without going
-        through the PDMS, so the EDB set is re-checked here).
+        Rebuilt, recompiling nothing, whenever a description adds rules
+        or the stored-relation set changes (``Peer.add_stored`` and
+        :meth:`restore_peer` can grow the latter without going through
+        the PDMS, so the EDB set is re-checked here).
         """
         edb = self.edb_predicates()
         if self._index_cache is None or self._index_cache.edb_predicates != edb:

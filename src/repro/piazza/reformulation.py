@@ -12,7 +12,7 @@ as the paper describes.
 
 A search state is the *resolved* partial rewriting (pending goals and
 query head, every binding applied), and a goal is expanded by filling
-in its rule's compiled :class:`~repro.piazza.mapping_index.RuleTemplate`
+in its rule's compiled :class:`~repro.piazza.datalog.RuleTemplate`
 positionally: nothing is renamed apart and no substitution is threaded.
 
 The paper notes the algorithm "is aided by heuristics that prune
@@ -48,6 +48,7 @@ from repro.piazza.datalog import (
     ConjunctiveQuery,
     Func,
     Rule,
+    RuleTemplate,
     Subst,
     Var,
     apply_subst,
@@ -56,7 +57,7 @@ from repro.piazza.datalog import (
     minimize_union,
     unify,
 )
-from repro.piazza.mapping_index import RuleTemplate, entries_by_head
+from repro.piazza.mapping_index import entries_by_head
 
 
 @dataclass

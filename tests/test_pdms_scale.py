@@ -8,13 +8,20 @@ the brute-force path it replaces:
 * the fast UCQ minimizer == the quadratic one (same survivors, same
   deterministic order),
 * the batched executor == the per-relation executor (answers + views),
+* a long-lived PDMS, which compiles each mapping once as it joins ==
+  a fresh PDMS replaying the same registrations,
 
 checked on randomized ``pdms_gen`` networks (with schema-only peers and
-cross edges) and on targeted hand-built topologies for the closure
-logic.
+cross edges), on random join streams, and on targeted hand-built
+topologies for the closure logic.
 """
 
 import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.pdms_gen import random_tree_pdms
 from repro.piazza import (
@@ -27,8 +34,10 @@ from repro.piazza import (
     evaluate_union_brute_force,
     minimize_union,
 )
-from repro.piazza.datalog import minimize_union_brute_force
+from repro.piazza import peer as peer_module
+from repro.piazza.datalog import RuleTemplate, minimize_union_brute_force
 from repro.piazza.parse import parse_query, parse_rule
+from repro.piazza.peer import PdmsError
 
 
 def _random_networks():
@@ -164,16 +173,21 @@ class TestMappingIndex:
     def _chain(self, length: int) -> PDMS:
         pdms = PDMS()
         for i in range(length):
-            peer = pdms.add_peer(f"p{i}")
-            peer.add_relation("r", ["a"])
-            peer.add_stored("s", ["a"])
-            pdms.add_storage(f"p{i}", "s", f"p{i}.r")
-        for i in range(length - 1):
+            self._join(pdms, i)
+        return pdms
+
+    @staticmethod
+    def _join(pdms: PDMS, i: int, rows=()) -> None:
+        """Peer ``p{i}`` joins with its storage and maps itself to ``p{i-1}``."""
+        peer = pdms.add_peer(f"p{i}")
+        peer.add_relation("r", ["a"])
+        peer.add_stored("s", ["a"], rows)
+        pdms.add_storage(f"p{i}", "s", f"p{i}.r")
+        if i:
             pdms.add_mapping(
-                f"m{i}", f"m(X) :- p{i}.r(X)", f"m(X) :- p{i + 1}.r(X)",
+                f"m{i - 1}", f"m(X) :- p{i - 1}.r(X)", f"m(X) :- p{i}.r(X)",
                 exact=True,
             )
-        return pdms
 
     def test_productive_closure(self):
         rules = [
@@ -220,6 +234,149 @@ class TestMappingIndex:
         assert snapshot["rules"] == len(pdms.rules())
         assert snapshot["edb_predicates"] == 3
         assert snapshot["dead_rules"] == 0
+
+    def test_uncompilable_mapping_is_refused_and_changes_nothing(self):
+        pdms = PDMS()
+        for i in range(2):
+            self._join(pdms, i, rows=[(i,)])
+        query = "q(X) :- p0.r(X)"
+        answers = pdms.answer(query)
+        index, version = pdms.mapping_index(), pdms.topology_version
+        mappings, rules = list(pdms.mappings), pdms.rules()
+        with pytest.raises(PdmsError, match="cannot align head variables"):
+            pdms.add_mapping("bad", "m(1) :- p0.r(X)", "m(2) :- p1.r(Y)")
+        assert pdms.mappings == mappings
+        assert pdms.rules() == rules
+        assert pdms.topology_version == version
+        assert pdms.mapping_index() is index
+        assert pdms.answer(query) == answers == {(0,), (1,)}
+
+    def test_a_join_compiles_only_its_own_rules(self, monkeypatch):
+        inverted, templated, builds = Counter(), Counter(), []
+        inverse_rules, compile_template = peer_module._inverse_rules, RuleTemplate.compile
+        build_index = MappingIndex.__init__
+
+        def counted_inverse_rules(*args, label, **kwargs):
+            inverted[label] += 1
+            return inverse_rules(*args, label=label, **kwargs)
+
+        def counted_compile(rule):
+            templated[id(rule)] += 1
+            return compile_template(rule)
+
+        def counted_build(self, *args):
+            builds.append(1)
+            build_index(self, *args)
+
+        monkeypatch.setattr(peer_module, "_inverse_rules", counted_inverse_rules)
+        monkeypatch.setattr(RuleTemplate, "compile", counted_compile)
+        monkeypatch.setattr(MappingIndex, "__init__", counted_build)
+
+        pdms, joins = PDMS(), 6
+        for i in range(joins):
+            self._join(pdms, i, rows=[(i,)])
+            assert pdms.answer("q(X) :- p0.r(X)") == {(j,) for j in range(i + 1)}
+        # One compile per storage description and per mapping direction.
+        assert len(inverted) == len(pdms.storage) + 2 * len(pdms.mappings)
+        assert set(inverted.values()) == {1}
+        assert set(templated.values()) == {1}
+        assert set(templated) <= {id(rule) for rule in pdms.rules()}
+        assert len(builds) == joins
+
+
+_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)
+_streams = st.lists(
+    st.tuples(
+        st.sampled_from(["peer", "store", "map", "map", "map", "def", "read", "read"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        _rows,
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=30,
+)
+
+
+def _resolve(founders: list, stream) -> list[tuple]:
+    """Concrete ops: the founders join (storing their rows, or dataless
+    for ``None``), then the stream's picks name peers; a mapping always
+    joins two distinct peers, and a peer stores at most once."""
+    peers = [f"p{i}" for i in range(len(founders))]
+    ops = [("peer", name) for name in peers]
+    ops += [("store", name, rows) for name, rows in zip(peers, founders) if rows is not None]
+    stored = {op[1] for op in ops if op[0] == "store"}
+    for kind, one, other, rows, exact, projected in stream:
+        first = peers[one % len(peers)]
+        second = peers[(one + 1 + other % (len(peers) - 1)) % len(peers)]
+        if kind == "peer":
+            peers.append(f"p{len(peers)}")
+            ops.append(("peer", peers[-1]))
+        elif kind == "store" and first not in stored:
+            stored.add(first)
+            ops.append(("store", first, rows))
+        elif kind == "map":
+            ops.append(("map", f"map{len(ops)}", first, second, exact, projected))
+        elif kind == "def":
+            ops.append(("def", f"def{len(ops)}", first, second))
+        elif kind == "read":
+            ops.append(("read", first))
+    return ops
+
+
+def _apply(pdms: PDMS, op: tuple) -> None:
+    kind, name, *args = op
+    if kind == "peer":
+        pdms.add_peer(name).add_relation("r", ["a", "b"])
+    elif kind == "store":
+        pdms.peers[name].add_stored("s", ["a", "b"], args[0])
+        pdms.add_storage(name, "s", f"{name}.r")
+    elif kind == "map":
+        source, target, exact, projected = args
+        head = "m(X)" if projected else "m(X, Y)"  # a projection leaves a Skolem
+        pdms.add_mapping(
+            name, f"{head} :- {source}.r(X, Y)", f"{head} :- {target}.r(X, Y)",
+            exact=exact,
+        )
+    elif kind == "def":
+        head, body = args
+        pdms.add_definition(name, f"{head}.r(X, Y) :- {body}.r(X, Y)")
+
+
+def _observe(pdms: PDMS, peer: str) -> tuple:
+    query = f"q(X, Y) :- {peer}.r(X, Y)"
+    result = pdms.reformulate(query)
+    counters = tuple(
+        getattr(result, counter)
+        for counter in (
+            "nodes_expanded", "nodes_pruned", "rules_skipped", "index_hits",
+            "depth_limit_hit",
+        )
+    )
+    return (
+        [r.canonical() for r in result.rewritings],
+        counters,
+        pdms.mapping_index().stats_snapshot(),
+        pdms.answer(query),
+    )
+
+
+class TestLongLivedPdms:
+    @settings(max_examples=200, deadline=None)
+    @given(founders=st.lists(st.none() | _rows, min_size=2, max_size=5), stream=_streams)
+    def test_matches_a_fresh_rebuild_after_every_read(self, founders, stream):
+        ops = _resolve(founders, stream)
+        live = PDMS()
+        for position, op in enumerate(ops):
+            if op[0] != "read":
+                _apply(live, op)
+                continue
+            fresh = PDMS()
+            for earlier in ops[:position]:
+                if earlier[0] != "read":
+                    _apply(fresh, earlier)
+            assert _observe(live, op[1]) == _observe(fresh, op[1])
 
 
 class TestMinimizeUnion:
