@@ -1,4 +1,4 @@
-"""Triple store backed by the mini relational engine.
+"""Triple store backed by one relational table.
 
 The "simple graph representation" of the paper: one ``triples`` table
 with hash indexes on subject, predicate, object and the (subject,

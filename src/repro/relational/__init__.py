@@ -1,55 +1,25 @@
-"""A mini relational engine.
+"""The relational substrate under the annotation store.
 
 The paper stores MANGROVE annotations "in a relational database using a
 simple graph representation" (Section 2.2).  Instead of depending on an
-external RDBMS, this package implements a small but real relational
-engine: typed tables, hash and sorted indexes, an expression language, a
-pipelined iterator algebra (scan / filter / project / join / aggregate /
-sort) and a fluent query builder with a rule-based planner that uses
-indexes for equality predicates.
+external RDBMS, this package implements what that needs: typed tables
+with primary keys and hash indexes, a catalog, and row state delegated
+to a pluggable :mod:`repro.storage` engine.  :class:`~repro.rdf.store.TripleStore`
+is its one caller.
 """
 
-from repro.relational.errors import (
-    IntegrityError,
-    QueryError,
-    RelationalError,
-    SchemaError,
-)
+from repro.relational.errors import IntegrityError, RelationalError, SchemaError
 from repro.relational.schema import Column, ColumnType, TableSchema
-from repro.relational.expr import (
-    AndExpr,
-    BinaryExpr,
-    ColumnRef,
-    Expr,
-    FunctionCall,
-    Literal,
-    NotExpr,
-    OrExpr,
-    col,
-    lit,
-)
 from repro.relational.table import Table
-from repro.relational.database import Database, Query
+from repro.relational.database import Database
 
 __all__ = [
-    "AndExpr",
-    "BinaryExpr",
     "Column",
-    "ColumnRef",
     "ColumnType",
     "Database",
-    "Expr",
-    "FunctionCall",
     "IntegrityError",
-    "Literal",
-    "NotExpr",
-    "OrExpr",
-    "Query",
-    "QueryError",
     "RelationalError",
     "SchemaError",
     "Table",
     "TableSchema",
-    "col",
-    "lit",
 ]

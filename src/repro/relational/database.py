@@ -1,31 +1,10 @@
-"""Database catalog and fluent query builder with a rule-based planner.
-
-The planner is deliberately simple (this is a substrate, not the paper's
-contribution): equality predicates matching a hash index become index
-scans, joins with equality keys become hash joins, everything else falls
-back to scans and nested loops.
-"""
+"""Database catalog: named tables over pluggable storage engines."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 
-from repro.relational.errors import QueryError, SchemaError
-from repro.relational.expr import Expr, col, conjuncts
-from repro.relational.ops import (
-    Aggregate,
-    Row,
-    distinct,
-    filter_rows,
-    group_aggregate,
-    hash_join,
-    limit,
-    nested_loop_join,
-    project,
-    project_exprs,
-    rename,
-    sort_rows,
-)
+from repro.relational.errors import SchemaError
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
 
@@ -120,214 +99,3 @@ class Database:
         """Release every table engine's file handles."""
         for table in self._tables.values():
             table.close()
-
-    # -- query ------------------------------------------------------------
-    def query(self, table: str) -> "Query":
-        """Start a fluent query over ``table``."""
-        return Query(self, table)
-
-
-def _scan_with_indexes(table: Table, predicate: Expr | None) -> Iterator[Row]:
-    """Choose an access path: hash-index scan if a conjunct matches."""
-    if predicate is not None:
-        pairs = dict(predicate.equality_pairs())
-        index = table.hash_index_for(set(pairs))
-        if index is not None:
-            key = tuple(pairs[name] for name in index.columns)
-            for row_id in sorted(index.lookup(key)):
-                row = table.get_row(row_id)
-                if row is not None:
-                    yield row
-            return
-        # Single-column range via sorted index.
-        for conjunct in conjuncts(predicate):
-            bounds = _range_bounds(conjunct)
-            if bounds is None:
-                continue
-            column, lo, hi = bounds
-            sorted_index = table.sorted_index_for(column)
-            if sorted_index is not None:
-                for row_id in sorted_index.range_lookup(lo, hi):
-                    row = table.get_row(row_id)
-                    if row is not None:
-                        yield row
-                return
-    yield from table.scan()
-
-
-def _range_bounds(expr: Expr) -> tuple[str, object, object] | None:
-    from repro.relational.expr import BinaryExpr, ColumnRef, Literal
-
-    if not isinstance(expr, BinaryExpr):
-        return None
-    left, right, op = expr.left, expr.right, expr.op
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        column, value = left.name, right.value
-    elif isinstance(right, ColumnRef) and isinstance(left, Literal):
-        column, value = right.name, left.value
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    else:
-        return None
-    if op in ("<", "<="):
-        return (column, None, value)
-    if op in (">", ">="):
-        return (column, value, None)
-    return None
-
-
-class Query:
-    """Fluent SELECT builder: from -> join -> where -> group -> order.
-
-    >>> db = Database()
-    >>> _ = db.create_table("t", [("a", ColumnType.INT), ("b", ColumnType.INT)])
-    >>> _ = db.insert_many("t", [(1, 10), (2, 20)])
-    >>> db.query("t").where(col("a") == 2).select("b").rows()
-    [{'b': 20}]
-    """
-
-    def __init__(self, database: Database, table: str):  # noqa: D107
-        self._database = database
-        self._table = table
-        self._alias: str | None = None
-        self._joins: list[tuple[str, str | None, list[str], list[str], Expr | None]] = []
-        self._predicate: Expr | None = None
-        self._projection: list[str] | None = None
-        self._expr_projection: dict[str, Expr] | None = None
-        self._renames: dict[str, str] = {}
-        self._group_by: list[str] = []
-        self._aggregates: list[Aggregate] = []
-        self._order_by: list[tuple[str, bool]] = []
-        self._distinct = False
-        self._limit: int | None = None
-        self._offset = 0
-
-    # -- builder methods ---------------------------------------------------
-    def alias(self, alias: str) -> "Query":
-        """Qualify base-table columns as ``alias.column``."""
-        self._alias = alias
-        return self
-
-    def join(
-        self,
-        table: str,
-        on: tuple[list[str], list[str]] | None = None,
-        condition: Expr | None = None,
-        alias: str | None = None,
-    ) -> "Query":
-        """Join another table, either equi (``on``) or theta (``condition``)."""
-        if on is None and condition is None:
-            raise QueryError("join requires `on` keys or a `condition`")
-        left_keys, right_keys = on if on is not None else ([], [])
-        self._joins.append((table, alias, left_keys, right_keys, condition))
-        return self
-
-    def where(self, predicate: Expr) -> "Query":
-        """AND a predicate into the filter."""
-        self._predicate = predicate if self._predicate is None else (self._predicate & predicate)
-        return self
-
-    def select(self, *columns: str) -> "Query":
-        """Project to the named columns."""
-        self._projection = list(columns)
-        return self
-
-    def select_exprs(self, **outputs: Expr) -> "Query":
-        """Project to computed expressions, keyed by output name."""
-        self._expr_projection = dict(outputs)
-        return self
-
-    def rename_columns(self, renames: dict[str, str]) -> "Query":
-        """Rename output columns (old -> new)."""
-        self._renames.update(renames)
-        return self
-
-    def group_by(self, *columns: str) -> "Query":
-        """Group by the named columns (combine with ``agg``)."""
-        self._group_by = list(columns)
-        return self
-
-    def agg(self, func: str, column: str | None = None, output: str | None = None) -> "Query":
-        """Add an aggregate; ``func`` in count/sum/avg/min/max/count_distinct."""
-        expr = col(column) if column is not None else None
-        self._aggregates.append(Aggregate(func, expr, output))
-        return self
-
-    def order_by(self, column: str, descending: bool = False) -> "Query":
-        """Append a sort key."""
-        self._order_by.append((column, descending))
-        return self
-
-    def unique(self) -> "Query":
-        """SELECT DISTINCT."""
-        self._distinct = True
-        return self
-
-    def take(self, count: int, offset: int = 0) -> "Query":
-        """LIMIT/OFFSET."""
-        self._limit = count
-        self._offset = offset
-        return self
-
-    # -- execution ----------------------------------------------------------
-    def _base_rows(self) -> Iterator[Row]:
-        table = self._database.table(self._table)
-        pushdown = self._predicate if not self._joins and self._alias is None else None
-        rows: Iterator[Row] = _scan_with_indexes(table, pushdown)
-        if self._alias:
-            from repro.relational.ops import prefix_columns
-
-            rows = prefix_columns(rows, self._alias)
-        return rows
-
-    def execute(self) -> Iterator[Row]:
-        """Run the query, yielding row dicts."""
-        rows = self._base_rows()
-        for table_name, alias, left_keys, right_keys, condition in self._joins:
-            right_table = self._database.table(table_name)
-            right_rows: Iterable[Row] = right_table.scan()
-            if alias:
-                from repro.relational.ops import prefix_columns
-
-                right_rows = prefix_columns(right_rows, alias)
-            if condition is not None:
-                rows = nested_loop_join(rows, list(right_rows), condition)
-            else:
-                rows = hash_join(rows, right_rows, left_keys, right_keys)
-        if self._predicate is not None:
-            rows = filter_rows(rows, self._predicate)
-        if self._group_by or self._aggregates:
-            rows = group_aggregate(rows, self._group_by, self._aggregates)
-        if self._expr_projection is not None:
-            rows = project_exprs(rows, self._expr_projection)
-        elif self._projection is not None:
-            rows = project(rows, self._projection)
-        if self._renames:
-            rows = rename(rows, self._renames)
-        if self._distinct:
-            rows = distinct(rows)
-        if self._order_by:
-            rows = iter(sort_rows(rows, self._order_by))
-        if self._limit is not None:
-            rows = limit(rows, self._limit, self._offset)
-        return rows
-
-    def rows(self) -> list[Row]:
-        """Materialize the result."""
-        return list(self.execute())
-
-    def first(self) -> Row | None:
-        """First result row or None."""
-        return next(self.execute(), None)
-
-    def count(self) -> int:
-        """Number of result rows."""
-        return sum(1 for _ in self.execute())
-
-    def scalar(self) -> object:
-        """Single value of the single column of the first row."""
-        row = self.first()
-        if row is None:
-            return None
-        if len(row) != 1:
-            raise QueryError(f"scalar() requires single-column result, got {list(row)}")
-        return next(iter(row.values()))

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the mini relational engine."""
+"""Exception hierarchy for the relational substrate."""
 
 from __future__ import annotations
 
@@ -13,7 +13,3 @@ class SchemaError(RelationalError):
 
 class IntegrityError(RelationalError):
     """Constraint violation (type mismatch, duplicate primary key)."""
-
-
-class QueryError(RelationalError):
-    """Malformed query (unknown column, unresolvable reference)."""

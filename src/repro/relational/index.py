@@ -1,9 +1,8 @@
-"""Secondary indexes: hash (equality) and sorted (range)."""
+"""Secondary equality indexes over a table's row ids."""
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 
 class HashIndex:
@@ -40,52 +39,3 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-
-class SortedIndex:
-    """Range index over a single column, kept as a sorted key list.
-
-    Supports ``range_lookup(lo, hi)`` with inclusive bounds; ``None``
-    means unbounded on that side.  Values must be mutually comparable.
-    """
-
-    def __init__(self, column: str):  # noqa: D107
-        self.column = column
-        self._keys: list[object] = []
-        self._rows: dict[object, set[int]] = {}
-
-    def insert(self, key: object, row_id: int) -> None:
-        """Register ``row_id`` under scalar ``key`` (``None`` is skipped)."""
-        if key is None:
-            return
-        if key not in self._rows:
-            bisect.insort(self._keys, key)
-            self._rows[key] = set()
-        self._rows[key].add(row_id)
-
-    def remove(self, key: object, row_id: int) -> None:
-        """Unregister ``row_id`` from ``key``."""
-        rows = self._rows.get(key)
-        if rows is None:
-            return
-        rows.discard(row_id)
-        if not rows:
-            del self._rows[key]
-            position = bisect.bisect_left(self._keys, key)
-            if position < len(self._keys) and self._keys[position] == key:
-                del self._keys[position]
-
-    def clear(self) -> None:
-        """Drop every entry (index rebuild after storage recovery)."""
-        self._keys.clear()
-        self._rows.clear()
-
-    def range_lookup(self, lo: object = None, hi: object = None) -> Iterator[int]:
-        """Yield row ids with ``lo <= key <= hi`` in key order."""
-        start = 0 if lo is None else bisect.bisect_left(self._keys, lo)
-        end = len(self._keys) if hi is None else bisect.bisect_right(self._keys, hi)
-        for key in self._keys[start:end]:
-            yield from self._rows[key]
-
-    def __len__(self) -> int:
-        return sum(len(rows) for rows in self._rows.values())

@@ -94,14 +94,6 @@ class TableSchema:
                 return index
         raise SchemaError(f"no column {name!r} in table {self.name}")
 
-    def column(self, name: str) -> Column:
-        """The :class:`Column` called ``name``."""
-        return self.columns[self.column_index(name)]
-
-    def has_column(self, name: str) -> bool:
-        """True if the table declares a column ``name``."""
-        return any(column.name == name for column in self.columns)
-
     def validate_row(self, values: tuple) -> tuple:
         """Type-check and coerce one row tuple; returns the coerced tuple."""
         if len(values) != len(self.columns):

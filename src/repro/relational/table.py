@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 
 from repro.relational.errors import IntegrityError, SchemaError
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import HashIndex
 from repro.relational.schema import TableSchema
 from repro.storage.engine import MemoryEngine, StorageEngine
 from repro.storage.records import encode_row, sorted_rows
@@ -46,7 +46,6 @@ class Table:
             HashIndex(schema.primary_key) if schema.primary_key else None
         )
         self._hash_indexes: dict[tuple[str, ...], HashIndex] = {}
-        self._sorted_indexes: dict[str, SortedIndex] = {}
         if len(self.engine):
             # Recovery attach: the engine came back from disk with rows;
             # rebuild everything index-shaped from the engine scan.
@@ -66,18 +65,8 @@ class Table:
             index.insert(tuple(row[p] for p in positions), row_id)
         self._hash_indexes[columns] = index
 
-    def create_sorted_index(self, column: str) -> None:
-        """Create (and backfill) a sorted index on a single column."""
-        position = self.schema.column_index(column)
-        if column in self._sorted_indexes:
-            return
-        index = SortedIndex(column)
-        for row_id, row in self.engine.scan():
-            index.insert(row[position], row_id)
-        self._sorted_indexes[column] = index
-
     def rebuild_indexes(self) -> None:
-        """Re-derive every index (primary, hash, sorted) from the engine.
+        """Re-derive every index (primary and hash) from the engine.
 
         Used when attaching to a recovered engine and safe to call any
         time the engine state is trusted over the index state.
@@ -85,8 +74,6 @@ class Table:
         if self._pk_index is not None:
             self._pk_index.clear()
         for index in self._hash_indexes.values():
-            index.clear()
-        for index in self._sorted_indexes.values():
             index.clear()
         for row_id, row in self.engine.scan():
             self._index_insert(row, row_id)
@@ -99,10 +86,6 @@ class Table:
                 if best is None or len(index_columns) > len(best.columns):
                     best = index
         return best
-
-    def sorted_index_for(self, column: str) -> SortedIndex | None:
-        """The sorted index on ``column`` if one exists."""
-        return self._sorted_indexes.get(column)
 
     # -- mutation --------------------------------------------------------
     def insert(self, values: tuple | list | Mapping[str, object]) -> int:
@@ -141,8 +124,6 @@ class Table:
         for columns, index in self._hash_indexes.items():
             positions = [self.schema.column_index(name) for name in columns]
             index.insert(tuple(row[p] for p in positions), row_id)
-        for column, index in self._sorted_indexes.items():
-            index.insert(row[self.schema.column_index(column)], row_id)
 
     def _index_remove(self, row: tuple, row_id: int) -> None:
         if self._pk_index is not None:
@@ -152,8 +133,6 @@ class Table:
         for columns, index in self._hash_indexes.items():
             positions = [self.schema.column_index(name) for name in columns]
             index.remove(tuple(row[p] for p in positions), row_id)
-        for column, index in self._sorted_indexes.items():
-            index.remove(row[self.schema.column_index(column)], row_id)
 
     def delete_row(self, row_id: int) -> bool:
         """Delete by row id; returns True if a live row was removed."""
@@ -185,43 +164,43 @@ class Table:
         return len(deleted)
 
     def update_where(self, predicate, changes: Mapping[str, object]) -> int:
-        """Update matching rows with ``changes``; returns affected count."""
-        for name in changes:
-            self.schema.column_index(name)
-        removed: list[tuple] = []
-        added: list[tuple] = []
-        with self.engine.batch() as batch:
-            for row_id, row in list(self.engine.scan()):
-                if not predicate(self.row_dict(row)):
-                    continue
+        """Update matching rows with ``changes``; returns affected count.
+
+        All or nothing, like :meth:`insert`: every new row is built and
+        validated, and its primary key checked against the rows left
+        alone and against the other new keys, before the engine sees a
+        write.
+        """
+        positions = {self.schema.column_index(name): value for name, value in changes.items()}
+        updates: list[tuple[int, tuple, tuple]] = []
+        for row_id, row in self.engine.scan():
+            if predicate(self.row_dict(row)):
                 new_values = list(row)
-                for name, value in changes.items():
-                    new_values[self.schema.column_index(name)] = value
-                new_row = self.schema.validate_row(tuple(new_values))
-                key_before = self.schema.key_of(row)
-                key_after = self.schema.key_of(new_row)
-                if (
-                    self._pk_index is not None
-                    and key_after != key_before
-                    and self._pk_index.lookup(key_after)
-                ):
-                    raise IntegrityError(
-                        f"update would duplicate primary key {key_after!r}"
-                    )
+                for position, value in positions.items():
+                    new_values[position] = value
+                updates.append((row_id, row, self.schema.validate_row(tuple(new_values))))
+        if self._pk_index is not None:
+            updated = {row_id for row_id, _row, _new_row in updates}
+            new_keys: set[tuple] = set()
+            for _row_id, _row, new_row in updates:
+                key = self.schema.key_of(new_row)
+                if key in new_keys or self._pk_index.lookup(key) - updated:
+                    raise IntegrityError(f"update would duplicate primary key {key!r}")
+                new_keys.add(key)
+        with self.engine.batch() as batch:
+            for row_id, row, new_row in updates:
                 self._index_remove(row, row_id)
                 self.engine.replace(row_id, new_row)
                 self._index_insert(new_row, row_id)
-                removed.append(row)
-                added.append(new_row)
-            if removed and batch.wants_logical:
+            if updates and batch.wants_logical:
                 batch.annotate(
                     "updategram",
                     {
-                        "inserts": {self.schema.name: sorted_rows(added)},
-                        "deletes": {self.schema.name: sorted_rows(removed)},
+                        "inserts": {self.schema.name: sorted_rows([u[2] for u in updates])},
+                        "deletes": {self.schema.name: sorted_rows([u[1] for u in updates])},
                     },
                 )
-        return len(removed)
+        return len(updates)
 
     # -- access ----------------------------------------------------------
     def row_dict(self, row: tuple) -> dict[str, object]:

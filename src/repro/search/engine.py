@@ -192,13 +192,6 @@ class CorpusSearchEngine:
         self.cache.put(key, self._synced_version, result)
         return list(result)
 
-    def top_k_vector(self, query: dict, limit: int, exclude=()) -> list[tuple[str, float]]:
-        """Top-k over the co-occurrence profile store for an ad-hoc query
-        vector (uncached: ad-hoc vectors rarely repeat)."""
-        self.sync()
-        self._m_queries.inc()
-        return self._terms.top_k(query, limit, exclude=exclude)
-
     # -- relation names for an attribute set ----------------------------------
     def relation_names_for(self, attributes: frozenset) -> list[tuple[str, int]]:
         """Corpus relation names used for similar attribute sets.

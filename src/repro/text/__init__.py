@@ -2,24 +2,22 @@
 
 The corpus tools of Section 4 of the paper rely on classic information
 retrieval machinery: tokenization, stemming, synonym tables, TF/IDF and
-string similarity.  This package implements all of it from scratch.
+the string similarities the name-based matchers score with (edit
+distance, Jaro-Winkler, character n-grams, token Jaccard).  This package
+implements all of it from scratch.
 """
 
 from repro.text.tokenize import normalize_term, tokenize, tokenize_identifier
 from repro.text.stem import porter_stem, stem_tokens
 from repro.text.synonyms import SynonymTable, TranslationTable, default_synonyms
 from repro.text.similarity import (
-    damerau_levenshtein,
     jaccard,
     jaro,
     jaro_winkler,
     levenshtein,
     levenshtein_ratio,
-    monge_elkan,
     ngram_similarity,
     ngrams,
-    prefix_similarity,
-    soundex,
     token_set_similarity,
 )
 from repro.text.tfidf import CosineIndex, TfIdfVectorizer, cosine_similarity
@@ -30,20 +28,16 @@ __all__ = [
     "TfIdfVectorizer",
     "TranslationTable",
     "cosine_similarity",
-    "damerau_levenshtein",
     "default_synonyms",
     "jaccard",
     "jaro",
     "jaro_winkler",
     "levenshtein",
     "levenshtein_ratio",
-    "monge_elkan",
     "ngram_similarity",
     "ngrams",
     "normalize_term",
     "porter_stem",
-    "prefix_similarity",
-    "soundex",
     "stem_tokens",
     "token_set_similarity",
     "tokenize",

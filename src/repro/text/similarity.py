@@ -35,33 +35,6 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def damerau_levenshtein(a: str, b: str) -> int:
-    """Edit distance that additionally allows adjacent transpositions."""
-    if a == b:
-        return 0
-    len_a, len_b = len(a), len(b)
-    if not len_a:
-        return len_b
-    if not len_b:
-        return len_a
-    dist = [[0] * (len_b + 1) for _ in range(len_a + 1)]
-    for i in range(len_a + 1):
-        dist[i][0] = i
-    for j in range(len_b + 1):
-        dist[0][j] = j
-    for i in range(1, len_a + 1):
-        for j in range(1, len_b + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            dist[i][j] = min(
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-                dist[i - 1][j - 1] + cost,
-            )
-            if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-                dist[i][j] = min(dist[i][j], dist[i - 2][j - 2] + 1)
-    return dist[len_a][len_b]
-
-
 def levenshtein_ratio(a: str, b: str) -> float:
     """Edit distance normalized to a similarity in ``[0, 1]``."""
     if not a and not b:
@@ -187,76 +160,3 @@ def token_set_similarity(a: str, b: str) -> float:
     tokens_a.discard("of")
     tokens_b.discard("of")
     return jaccard(tokens_a, tokens_b)
-
-
-def prefix_similarity(a: str, b: str) -> float:
-    """Length of the common prefix over the max length."""
-    if not a and not b:
-        return 1.0
-    prefix = 0
-    for ch_a, ch_b in zip(a, b):
-        if ch_a != ch_b:
-            break
-        prefix += 1
-    return prefix / max(len(a), len(b))
-
-
-def monge_elkan(a: str, b: str, base=jaro_winkler) -> float:
-    """Monge-Elkan hybrid: average best ``base`` score per token of ``a``.
-
-    Symmetrized by taking the mean of both directions, so
-    ``monge_elkan(a, b) == monge_elkan(b, a)``.
-    """
-
-    def directed(tokens_x: list[str], tokens_y: list[str]) -> float:
-        if not tokens_x:
-            return 0.0
-        total = 0.0
-        for tok_x in tokens_x:
-            total += max((base(tok_x, tok_y) for tok_y in tokens_y), default=0.0)
-        return total / len(tokens_x)
-
-    tokens_a = tokenize_identifier(a)
-    tokens_b = tokenize_identifier(b)
-    if not tokens_a and not tokens_b:
-        return 1.0
-    return (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a)) / 2.0
-
-
-_SOUNDEX_CODES = {
-    "b": "1", "f": "1", "p": "1", "v": "1",
-    "c": "2", "g": "2", "j": "2", "k": "2", "q": "2", "s": "2", "x": "2", "z": "2",
-    "d": "3", "t": "3",
-    "l": "4",
-    "m": "5", "n": "5",
-    "r": "6",
-}
-
-
-def soundex(word: str) -> str:
-    """American Soundex code, e.g. for fuzzy person-name lookup.
-
-    Inputs with no letters at all (empty strings, ``"123"``) have no
-    phonetic content and return ``""`` — returning the padding code
-    ``"0000"`` would make every such string compare phonetically equal.
-
-    >>> soundex("Robert")
-    'R163'
-    >>> soundex("Rupert")
-    'R163'
-    >>> soundex("123")
-    ''
-    """
-    word = "".join(ch for ch in word.lower() if ch.isalpha())
-    if not word:
-        return ""
-    first = word[0].upper()
-    encoded = []
-    prev_code = _SOUNDEX_CODES.get(word[0], "")
-    for ch in word[1:]:
-        code = _SOUNDEX_CODES.get(ch, "")
-        if code and code != prev_code:
-            encoded.append(code)
-        if ch not in "hw":
-            prev_code = code
-    return (first + "".join(encoded) + "000")[:4]

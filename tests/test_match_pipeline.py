@@ -11,8 +11,7 @@ path must be pinned to the seed per-sample implementation it replaces.
 * the blocking retrieval (``BasicStatistics.similar_schemas``) ==
   its brute-force scan;
 * regression coverage for the PR's learner bugfixes
-  (``format_features(None)``, the stratified stacking holdout; the
-  ``soundex`` fix is pinned in ``tests/test_text_similarity.py``).
+  (``format_features(None)``, the stratified stacking holdout).
 """
 
 import pytest

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.piazza.datalog import is_contained_in, minimize_union
 from repro.piazza.parse import parse_query
-from repro.relational import ColumnType, Database, col
+from repro.relational import ColumnType, Database
 from repro.xmlmodel import XmlElement, XmlText, parse_xml
 
 # -- XML round-trip ------------------------------------------------------------
@@ -71,7 +71,7 @@ class TestXmlRoundTrip:
         assert parse_xml(tree.serialize()).text_content() == value.strip()
 
 
-# -- relational engine vs Python semantics ------------------------------------------
+# -- hash index vs a full scan --------------------------------------------------
 
 rows_strategy = st.lists(
     st.tuples(st.integers(0, 6), st.integers(-5, 5)), max_size=40
@@ -79,58 +79,19 @@ rows_strategy = st.lists(
 
 
 class TestRelationalSemantics:
-    @settings(max_examples=60, deadline=None)
-    @given(rows_strategy)
-    def test_group_sum_matches_python(self, rows):
-        db = Database()
-        db.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db.insert_many("t", rows)
-        got = {
-            row["k"]: row["total"]
-            for row in db.query("t").group_by("k").agg("sum", "v", output="total").rows()
-        }
-        expected: dict[int, int] = {}
-        for k, v in rows:
-            expected[k] = expected.get(k, 0) + v
-        assert got == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows_strategy)
-    def test_distinct_matches_python(self, rows):
-        db = Database()
-        db.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db.insert_many("t", rows)
-        got = {
-            (row["k"], row["v"]) for row in db.query("t").unique().rows()
-        }
-        assert got == set(rows)
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows_strategy)
-    def test_order_by_sorted(self, rows):
-        db = Database()
-        db.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db.insert_many("t", rows)
-        ordered = [row["v"] for row in db.query("t").order_by("v").rows()]
-        assert ordered == sorted(ordered)
-
     @settings(max_examples=40, deadline=None)
     @given(rows_strategy)
     def test_index_scan_equals_full_scan(self, rows):
-        db_indexed = Database()
-        db_indexed.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db_indexed.insert_many("t", rows)
-        db_indexed.table("t").create_hash_index(("k",))
-        db_plain = Database()
-        db_plain.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db_plain.insert_many("t", rows)
+        db = Database()
+        table = db.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
+        db.insert_many("t", rows)
+        table.create_hash_index(("k",))
+        table.delete_where(lambda row: row["v"] < -3)
+        table.update_where(lambda row: row["v"] > 3, {"k": 0})
+        index = table.hash_index_for({"k"})
         for key in range(7):
-            with_index = sorted(
-                (r["k"], r["v"]) for r in db_indexed.query("t").where(col("k") == key).rows()
-            )
-            without = sorted(
-                (r["k"], r["v"]) for r in db_plain.query("t").where(col("k") == key).rows()
-            )
+            with_index = sorted(table.raw_row(row_id) for row_id in index.lookup((key,)))
+            without = sorted(row for row in table.raw_scan() if row[0] == key)
             assert with_index == without
 
 

@@ -1,19 +1,14 @@
-"""Tests for the mini relational engine."""
+"""Tests for the relational substrate: schemas, tables, hash indexes."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.relational import (
     Column,
     ColumnType,
     Database,
     IntegrityError,
-    QueryError,
     SchemaError,
     TableSchema,
-    col,
-    lit,
 )
 
 
@@ -38,14 +33,6 @@ def courses_db():
             (3, "Operating Systems", "CSE", 65),
             (4, "Modern History", "HIST", 45),
         ],
-    )
-    db.create_table(
-        "instructor",
-        [("course_id", ColumnType.INT), ("name", ColumnType.TEXT)],
-    )
-    db.insert_many(
-        "instructor",
-        [(1, "Jones"), (2, "Smith"), (3, "Smith"), (4, "Brown")],
     )
     return db
 
@@ -119,157 +106,30 @@ class TestTableMutation:
             db.insert("t", (None,))
 
 
-class TestQueries:
-    def test_filter_and_project(self, courses_db):
-        rows = (
-            courses_db.query("course")
-            .where(col("dept") == "CSE")
-            .select("title")
-            .order_by("title")
-            .rows()
-        )
-        assert rows == [{"title": "Databases"}, {"title": "Operating Systems"}]
-
-    def test_comparison_operators(self, courses_db):
-        rows = courses_db.query("course").where(col("size") > 70).rows()
-        assert {row["id"] for row in rows} == {1, 2}
-
-    def test_like(self, courses_db):
-        rows = courses_db.query("course").where(col("title").like("%history%")).rows()
-        assert {row["id"] for row in rows} == {1, 4}
-
-    def test_in(self, courses_db):
-        rows = courses_db.query("course").where(col("id").is_in([1, 3])).rows()
-        assert {row["id"] for row in rows} == {1, 3}
-
-    def test_hash_join(self, courses_db):
-        rows = (
-            courses_db.query("course")
-            .join("instructor", on=(["id"], ["course_id"]))
-            .where(col("name") == "Smith")
-            .select("title")
-            .order_by("title")
-            .rows()
-        )
-        assert [row["title"] for row in rows] == ["Databases", "Operating Systems"]
-
-    def test_theta_join(self, courses_db):
-        rows = (
-            courses_db.query("course")
-            .alias("a")
-            .join("course", alias="b", condition=col("a.size") < col("b.size"))
-            .rows()
-        )
-        # Pairs with strictly increasing size: 4 courses -> 6 ordered pairs.
-        assert len(rows) == 6
-
-    def test_group_aggregate(self, courses_db):
-        rows = (
-            courses_db.query("course")
-            .group_by("dept")
-            .agg("count", output="n")
-            .agg("sum", "size", output="total")
-            .order_by("dept")
-            .rows()
-        )
-        assert rows == [
-            {"dept": "CSE", "n": 2, "total": 145},
-            {"dept": "HIST", "n": 2, "total": 165},
-        ]
-
-    def test_aggregate_without_group(self, courses_db):
-        row = courses_db.query("course").agg("avg", "size", output="mean").first()
-        assert row["mean"] == pytest.approx((120 + 80 + 65 + 45) / 4)
-
-    def test_distinct(self, courses_db):
-        rows = courses_db.query("instructor").select("name").unique().rows()
-        assert len(rows) == 3
-
-    def test_limit_offset(self, courses_db):
-        rows = courses_db.query("course").order_by("id").take(2, offset=1).rows()
-        assert [row["id"] for row in rows] == [2, 3]
-
-    def test_select_exprs(self, courses_db):
-        rows = (
-            courses_db.query("course")
-            .where(col("id") == 1)
-            .select_exprs(double=col("size") * lit(2))
-            .rows()
-        )
-        assert rows == [{"double": 240}]
-
-    def test_scalar(self, courses_db):
-        value = (
-            courses_db.query("course").where(col("id") == 2).select("title").scalar()
-        )
-        assert value == "Databases"
-
-    def test_unknown_column_raises(self, courses_db):
-        with pytest.raises(QueryError):
-            courses_db.query("course").where(col("nope") == 1).rows()
-
-    def test_order_desc_with_nulls(self, courses_db):
-        courses_db.insert("course", {"id": 50, "title": "Null size"})
-        rows = courses_db.query("course").order_by("size", descending=True).rows()
-        assert rows[-1]["id"] == 50  # nulls last on descending
+def dept_ids(table, dept):
+    """Course ids under ``dept``, read through the dept hash index."""
+    index = table.hash_index_for({"dept"})
+    return {table.get_row(row_id)["id"] for row_id in index.lookup((dept,))}
 
 
 class TestIndexes:
     def test_index_scan_matches_full_scan(self, courses_db):
         table = courses_db.table("course")
         table.create_hash_index(("dept",))
-        with_index = courses_db.query("course").where(col("dept") == "HIST").rows()
-        assert {row["id"] for row in with_index} == {1, 4}
+        for dept in ("HIST", "CSE", "none"):
+            assert dept_ids(table, dept) == {
+                row["id"] for row in table.scan() if row["dept"] == dept
+            }
 
     def test_index_maintained_on_delete(self, courses_db):
         table = courses_db.table("course")
         table.create_hash_index(("dept",))
         table.delete_where(lambda row: row["id"] == 1)
-        rows = courses_db.query("course").where(col("dept") == "HIST").rows()
-        assert {row["id"] for row in rows} == {4}
+        assert dept_ids(table, "HIST") == {4}
 
     def test_index_maintained_on_update(self, courses_db):
         table = courses_db.table("course")
         table.create_hash_index(("dept",))
         table.update_where(lambda row: row["id"] == 2, {"dept": "HIST"})
-        rows = courses_db.query("course").where(col("dept") == "HIST").rows()
-        assert {row["id"] for row in rows} == {1, 2, 4}
-
-    def test_sorted_index_range(self, courses_db):
-        table = courses_db.table("course")
-        table.create_sorted_index("size")
-        rows = courses_db.query("course").where(col("size") >= 80).rows()
-        assert {row["id"] for row in rows} == {1, 2}
-
-
-class TestPropertyBased:
-    @given(
-        st.lists(
-            st.tuples(st.integers(-50, 50), st.text("ab", max_size=3)), max_size=40
-        )
-    )
-    def test_filter_equivalent_to_python(self, rows):
-        db = Database()
-        db.create_table("t", [("x", ColumnType.INT), ("s", ColumnType.TEXT)])
-        db.insert_many("t", rows)
-        got = sorted(
-            (row["x"], row["s"]) for row in db.query("t").where(col("x") > 0).rows()
-        )
-        expected = sorted((x, s) for x, s in rows if x > 0)
-        assert got == expected
-
-    @given(
-        st.lists(st.integers(0, 9), max_size=30),
-        st.lists(st.integers(0, 9), max_size=30),
-    )
-    def test_join_equivalent_to_python(self, left, right):
-        db = Database()
-        db.create_table("l", [("a", ColumnType.INT)])
-        db.create_table("r", [("b", ColumnType.INT)])
-        db.insert_many("l", [(value,) for value in left])
-        db.insert_many("r", [(value,) for value in right])
-        got = sorted(
-            row["a"] for row in db.query("l").join("r", on=(["a"], ["b"])).rows()
-        )
-        expected = sorted(a for a in left for b in right if a == b)
-        assert got == expected
+        assert dept_ids(table, "HIST") == {1, 2, 4}
+        assert dept_ids(table, "CSE") == {3}

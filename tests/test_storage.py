@@ -125,7 +125,6 @@ def make_table(engine):
         engine=engine,
     )
     table.create_hash_index(("dept",))
-    table.create_sorted_index("size")
     return table
 
 
@@ -145,7 +144,6 @@ def drive_table(table, seed, steps=120):
             table.delete_where(lambda row: row["dept"] == dept)
         elif op < 0.85:
             dept = rng.choice("abc")
-            bump = rng.randint(1, 5)
             table.update_where(
                 lambda row: row["dept"] == dept, {"size": rng.randint(0, 50)}
             )
@@ -155,12 +153,10 @@ def drive_table(table, seed, steps=120):
 
 def table_fingerprint(table):
     index = table.hash_index_for({"dept"})
-    sorted_index = table.sorted_index_for("size")
     return {
         "rows": list(table.engine.scan()),
         "len": len(table),
         "hash": {d: sorted(index.lookup((d,))) for d in "abc"},
-        "range": sorted(sorted_index.range_lookup(10, 40)),
         "pk": [table.lookup_pk((k,)) for k in range(130)],
     }
 
@@ -468,6 +464,34 @@ def test_no_op_mutations_log_nothing(tmp_path):
         table.insert((0, "a", 6))  # duplicate pk: rejected before logging
     assert len(table.engine.wal_records()) == 1
     table.close()
+
+
+@pytest.mark.parametrize("kind", ["memory", "log"])
+def test_update_where_is_all_or_nothing(tmp_path, kind):
+    engine = (
+        MemoryEngine() if kind == "memory"
+        else LogEngine(tmp_path, name="atomic", snapshot_every=None)
+    )
+    table = Database("atomic").create_table(
+        "t", [("id", ColumnType.INT), ("v", ColumnType.INT)],
+        primary_key=("id",), engine=engine,
+    )
+    for row in [(1, 10), (2, 20), (3, 30)]:
+        table.insert(row)
+    before = list(table.raw_scan())
+    with pytest.raises(IntegrityError):  # rows 2 and 3 would both become id 7
+        table.update_where(lambda row: row["id"] >= 2, {"id": 7})
+    with pytest.raises(IntegrityError):  # row 3 would take row 1's id
+        table.update_where(lambda row: row["id"] == 3, {"id": 1})
+    assert list(table.raw_scan()) == before
+    assert [table.lookup_pk((key,)) for key in (1, 2, 3, 7)] == [
+        {"id": 1, "v": 10}, {"id": 2, "v": 20}, {"id": 3, "v": 30}, None,
+    ]
+    table.close()
+    if kind == "log":
+        recovered = LogEngine(tmp_path, name="atomic", snapshot_every=None)
+        assert [row for _row_id, row in recovered.scan()] == before
+        recovered.close()
 
 
 def test_replace_source_one_record_one_notification(tmp_path):

@@ -5,17 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text import (
-    damerau_levenshtein,
     jaccard,
     jaro,
     jaro_winkler,
     levenshtein,
     levenshtein_ratio,
-    monge_elkan,
     ngram_similarity,
     ngrams,
-    prefix_similarity,
-    soundex,
     token_set_similarity,
 )
 
@@ -44,16 +40,6 @@ class TestLevenshtein:
     @given(words, words)
     def test_bounded_by_longer(self, a, b):
         assert levenshtein(a, b) <= max(len(a), len(b))
-
-
-class TestDamerauLevenshtein:
-    def test_transposition_cheaper(self):
-        assert damerau_levenshtein("ab", "ba") == 1
-        assert levenshtein("ab", "ba") == 2
-
-    @given(words, words)
-    def test_never_exceeds_levenshtein(self, a, b):
-        assert damerau_levenshtein(a, b) <= levenshtein(a, b)
 
 
 class TestRatios:
@@ -113,31 +99,3 @@ class TestTokenAndSetSims:
 
     def test_token_set_abbreviations(self):
         assert token_set_similarity("dept_name", "department-name") == 1.0
-
-    def test_prefix(self):
-        assert prefix_similarity("course", "courses") == pytest.approx(6 / 7)
-
-    def test_monge_elkan_reorders(self):
-        assert monge_elkan("first name", "name first") == pytest.approx(1.0)
-
-    @given(words, words)
-    def test_monge_elkan_symmetric(self, a, b):
-        assert monge_elkan(a, b) == pytest.approx(monge_elkan(b, a))
-
-
-class TestSoundex:
-    def test_classic_codes(self):
-        assert soundex("Robert") == "R163"
-        assert soundex("Rupert") == "R163"
-        assert soundex("Tymczak") == "T522"
-        assert soundex("Pfister") == "P236"
-        assert soundex("Honeyman") == "H555"
-
-    def test_no_letter_inputs_have_no_code(self):
-        # Regression: the padding code "0000" made every letterless
-        # string ("", "123", "---") phonetically "equal".
-        assert soundex("") == ""
-        assert soundex("123") == ""
-        assert soundex("-- --") == ""
-        # A real name never collides with a letterless input.
-        assert soundex("Robert") != soundex("123")
