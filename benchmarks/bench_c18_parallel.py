@@ -1,20 +1,20 @@
-"""Experiment C18 — the parallel execution runtime on the C11/C14 workloads.
+"""Experiment C18 — modeled fan-out on the C11/C14 workloads.
 
-A PDMS's fan-outs are embarrassingly parallel: the per-peer relation
-fetches behind one distributed execution are independent reads of
-independent peers, and one updategram's per-subscriber delta batches
-are independent sends.  The serial executor nevertheless charges their
-simulated round trips *in sequence* — at the C11 headline scale a
-single query pays hundreds of back-to-back round trips that real
-deployments overlap.  This experiment measures what the pluggable
-:mod:`repro.runtime` buys when the same workloads dispatch through a
-:class:`~repro.runtime.ThreadPoolRuntime` and the network charges each
-batch its **makespan** over the worker count
+A PDMS's fan-outs are independent: the per-peer relation fetches
+behind one distributed execution are independent reads of independent
+peers, and one updategram's per-subscriber delta batches are
+independent sends.  Charged in sequence, a single query at the C11
+headline scale pays hundreds of back-to-back round trips that a real
+deployment overlaps.  This experiment measures the *modeled* overlap:
+the same workloads run on a :class:`~repro.piazza.DistributedExecutor`
+with ``workers=N``, and the network charges each batch its
+**makespan** over ``N`` workers
 (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`)
-instead of its sum.
+instead of its sum.  Nothing runs on threads; the speedup is simulated
+milliseconds, not wall clock.
 
-Two workloads, each run under the serial oracle and thread pools of
-``N in (2, 4)`` workers over identical networks and seeds:
+Two workloads, each run at 1 worker (the serial sum) and at
+``N in (2, 4)`` modeled workers over identical networks and seeds:
 
 * **C11-style distributed execution** — single-relation and join
   queries against a 500-peer network (120 in quick mode): one
@@ -27,17 +27,16 @@ Two workloads, each run under the serial oracle and thread pools of
 Asserted per workload:
 
 * **parity** — answers (and the served answer after every updategram)
-  are set-identical across every runtime, and the traffic accounting
+  are set-identical at every worker count, and the traffic accounting
   (message count, bytes shipped, per-kind counts) is *exactly* the
-  serial path's — overlap changes when trips are charged, never what
-  is sent;
-* **speedup** — modeled wall-clock (the network's summed
+  1-worker run's — the modeled width changes when trips are charged,
+  never what is sent;
+* **speedup** — modeled latency (the network's summed
   ``total_latency_ms``) improves by at least ``0.6 x N`` at each
   worker count, and 4 workers beat 2 (the makespan model scales with
-  the pool, it doesn't just take a one-off max).
+  the width, it doesn't just take a one-off max).
 
-CI runs this as the blocking ``parallel-scale-gate`` job with
-``BENCH_C18_QUICK=1``.
+CI runs this in the ``gates`` matrix with ``BENCH_C18_QUICK=1``.
 """
 
 import os
@@ -45,7 +44,6 @@ import os
 from repro.bench import ResultTable
 from repro.datasets.pdms_gen import random_tree_pdms, update_stream
 from repro.piazza import DistributedExecutor, SimulatedNetwork, ViewServer
-from repro.runtime import SerialRuntime, ThreadPoolRuntime
 
 QUICK = os.environ.get("BENCH_C18_QUICK", "") not in ("", "0")
 EXEC_PEERS = 120 if QUICK else 500
@@ -75,12 +73,12 @@ def _exec_queries(pdms) -> list[str]:
     ]
 
 
-def _execute_run(pdms, queries, runtime):
-    """All queries under one runtime; returns answers + the network."""
+def _execute_run(pdms, queries, workers):
+    """All queries at one modeled width; returns answers + the network."""
     network = SimulatedNetwork()
     network.randomize_latencies(sorted(pdms.peers), seed=SEED,
                                 low=2.0, high=40.0)
-    executor = DistributedExecutor(pdms, network, runtime=runtime)
+    executor = DistributedExecutor(pdms, network, workers=workers)
     answers = [
         frozenset(executor.execute(query, "p0", dict(OPTIONS)).answers)
         for query in queries
@@ -103,8 +101,8 @@ def _view_queries(pdms, count: int) -> list[tuple[str, str]]:
     ]
 
 
-def _view_run(runtime):
-    """Register + stream updategrams + serve, under one runtime.
+def _view_run(workers):
+    """Register + stream updategrams + serve, at one modeled width.
 
     Returns the modeled latency of the *stream* phase separately:
     registration is a one-time serial placement cost (charged through
@@ -119,7 +117,7 @@ def _view_run(runtime):
     network = SimulatedNetwork()
     network.randomize_latencies(sorted(pdms.peers), seed=SEED + 1,
                                 low=2.0, high=40.0)
-    executor = DistributedExecutor(pdms, network, runtime=runtime)
+    executor = DistributedExecutor(pdms, network, workers=workers)
     server = ViewServer(executor, reformulation_options=dict(OPTIONS))
     queries = _view_queries(pdms, VIEW_QUERIES)
     for name, query in queries:
@@ -147,21 +145,18 @@ def _traffic(network):
 class TestC18Parallel:
     def test_distributed_execution_overlap(self):
         table = ResultTable(
-            "C18a: C11-style distributed execution, serial vs thread-pool fan-out",
-            ["peers", "workers", "messages", "serial (ms)", "parallel (ms)",
-             "speedup", "bar"],
+            "C18a: C11-style distributed execution, modeled fan-out",
+            ["peers", "workers", "messages", "1 worker (modeled ms)",
+             "N workers (modeled ms)", "modeled speedup", "bar"],
         )
         pdms = _exec_network(EXEC_PEERS)
         queries = _exec_queries(pdms)
-        serial_answers, serial_net = _execute_run(
-            pdms, queries, SerialRuntime()
-        )
+        serial_answers, serial_net = _execute_run(pdms, queries, 1)
         speedups: dict[int, float] = {}
         for workers in WORKER_COUNTS:
-            with ThreadPoolRuntime(workers=workers) as runtime:
-                answers, network = _execute_run(pdms, queries, runtime)
-            # Parity: identical answers, identical traffic — overlap
-            # changes the charged latency and nothing else.
+            answers, network = _execute_run(pdms, queries, workers)
+            # Parity: identical answers, identical traffic — the modeled
+            # width changes the charged latency and nothing else.
             assert answers == serial_answers
             assert _traffic(network) == _traffic(serial_net)
             speedup = serial_net.total_latency_ms / network.total_latency_ms
@@ -175,29 +170,26 @@ class TestC18Parallel:
                 serial_net.total_latency_ms, network.total_latency_ms,
                 speedup, EFFICIENCY_BAR * workers,
             )
-        # The makespan model scales with the pool: more workers, more
+        # The makespan model scales with the width: more workers, more
         # overlap, strictly faster on a many-peer fan-out.
         assert speedups[4] > speedups[2]
         table.note(
             "answers + message/byte/kind accounting asserted identical to "
-            "the serial oracle at every worker count"
+            "the 1-worker run at every modeled worker count"
             + (" (quick mode)" if QUICK else "")
         )
         table.show()
 
     def test_view_serving_overlap(self):
         table = ResultTable(
-            "C18b: C14-style view serving, serial vs thread-pool propagation",
-            ["peers", "queries", "grams", "workers", "serial (ms)",
-             "parallel (ms)", "speedup", "bar"],
+            "C18b: C14-style view serving, modeled propagation",
+            ["peers", "queries", "grams", "workers", "1 worker (modeled ms)",
+             "N workers (modeled ms)", "modeled speedup", "bar"],
         )
-        serial_history, serial_net, serial_server, serial_ms = _view_run(
-            SerialRuntime()
-        )
+        serial_history, serial_net, serial_server, serial_ms = _view_run(1)
         speedups: dict[int, float] = {}
         for workers in WORKER_COUNTS:
-            with ThreadPoolRuntime(workers=workers) as runtime:
-                history, network, server, stream_ms = _view_run(runtime)
+            history, network, server, stream_ms = _view_run(workers)
             # Parity: every post-updategram served answer identical,
             # propagation traffic identical, same views maintained.
             assert history == serial_history
@@ -221,7 +213,7 @@ class TestC18Parallel:
         assert speedups[4] > speedups[2]
         table.note(
             "served history + traffic accounting asserted identical to the "
-            "serial oracle at every worker count"
+            "1-worker run at every modeled worker count"
             + (" (quick mode)" if QUICK else "")
         )
         table.show()

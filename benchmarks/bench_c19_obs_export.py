@@ -1,23 +1,21 @@
 """Experiment C19 — end-to-end traces and the export pipeline (ISSUE 10).
 
 The ROADMAP's north star needs per-request visibility at PDMS scale:
-one executed query that fans out across hundreds of peers through the
-parallel runtime must come back as ONE trace — per-peer network-hop
-spans and pool-worker spans included — and that trace (plus the
-metrics registry) must survive a round trip through the JSONL export
-layer and render from the ``python -m repro.obs`` CLI.
+one executed query that fans out across hundreds of peers must come
+back as ONE trace — per-peer network-hop spans included — and that
+trace (plus the metrics registry) must survive a round trip through
+the JSONL export layer and render from the ``python -m repro.obs`` CLI.
 
 Workload: a 200-peer PDMS (the acceptance-criterion scale, kept in
-quick mode too — only the stream length shrinks) under a 4-worker
-:class:`~repro.runtime.ThreadPoolRuntime`.
+quick mode too — only the stream length shrinks), executed serially.
 
 Asserted:
 
 * **one tree per request** — one executed query yields exactly one
-  root spanning ``execute.fetch_batch`` → ``runtime.task`` →
-  ``execute.fetch`` (one per contacted peer), and one served query
-  (continuous-view hit) yields exactly one root; updategrams yield one
-  ``serving.updategram`` tree each with re-parented propagation spans;
+  root spanning ``execute.fetch_batch`` → ``execute.fetch`` (one per
+  contacted peer), and one served query (continuous-view hit) yields
+  exactly one root; updategrams yield one ``serving.updategram`` tree
+  each with the propagation spans inside;
 * **per-hop attribution** — every simulated message carries the
   executing trace's id;
 * **lossless export** — spans and metrics written to JSONL re-parse
@@ -46,11 +44,9 @@ from repro.obs.export import (
 )
 from repro.obs.profile import profile_spans, render_profile
 from repro.piazza import DistributedExecutor, SimulatedNetwork, ViewServer
-from repro.runtime import ThreadPoolRuntime
 
 QUICK = os.environ.get("BENCH_C19_QUICK", "") not in ("", "0")
 PEERS = 200  # the acceptance-criterion scale, quick mode included
-WORKERS = 4
 UPDATES = 2 if QUICK else 5
 OPTIONS = {"max_depth": 40}
 SEED = 19
@@ -67,11 +63,9 @@ def _stack():
     )
     pdms.obs = isolated
     network = SimulatedNetwork(obs=isolated)
-    runtime = ThreadPoolRuntime(workers=WORKERS, obs=isolated)
-    executor = DistributedExecutor(pdms, network, obs=isolated,
-                                   runtime=runtime)
+    executor = DistributedExecutor(pdms, network, obs=isolated)
     server = ViewServer(executor, reformulation_options=dict(OPTIONS))
-    return isolated, pdms, network, executor, server, runtime
+    return isolated, pdms, network, executor, server
 
 
 def _course_query(pdms, peer="p0"):
@@ -84,10 +78,10 @@ class TestC19ObsExport:
     def test_one_trace_per_request_and_lossless_export(self, tmp_path):
         table = ResultTable(
             "C19: end-to-end traces + export round trip at the 200-peer scale",
-            ["peers", "workers", "request", "trace roots", "spans",
-             "peer-hop spans", "worker spans", "messages stamped"],
+            ["peers", "request", "trace roots", "spans", "peer-hop spans",
+             "messages stamped"],
         )
-        isolated, pdms, network, executor, server, runtime = _stack()
+        isolated, pdms, network, executor, server = _stack()
         tracer = isolated.tracer
         query = _course_query(pdms)
 
@@ -100,15 +94,13 @@ class TestC19ObsExport:
         assert executed.name == "pdms.execute"
         assert "execute.fetch_batch" in names
         fetch_spans = names.count("execute.fetch")
-        worker_spans = names.count("runtime.task")
         # One network-hop span per contacted peer, all inside the one
-        # tree, each wrapped by a pool-worker span.
-        assert fetch_spans == stats.peers_contacted > WORKERS
-        assert worker_spans == fetch_spans
+        # tree; the fan-out is wider than C18's widest modeled width.
+        assert fetch_spans == stats.peers_contacted > 4
         stamped = {m.trace_id for m in network.messages}
         assert stamped == {executed.trace_id}
-        table.add_row(PEERS, WORKERS, "executed", 1, len(names),
-                      fetch_spans, worker_spans, len(network.messages))
+        table.add_row(PEERS, "executed", 1, len(names), fetch_spans,
+                      len(network.messages))
 
         # One served query (continuous-view hit) -> exactly one tree.
         tracer.clear()
@@ -120,11 +112,10 @@ class TestC19ObsExport:
         assert len(roots) == 1
         assert roots[0].name == "pdms.execute"
         assert roots[0].attrs.get("served_from") == "continuous-view"
-        table.add_row(PEERS, WORKERS, "served", 1, len(roots[0].names()),
-                      0, 0, "-")
+        table.add_row(PEERS, "served", 1, len(roots[0].names()), 0, "-")
 
         # Updategrams: one serving.updategram tree each, with the
-        # parallel propagation/maintenance spans re-parented inside.
+        # propagation/maintenance spans inside.
         tracer.clear()
         stream = list(update_stream(pdms, UPDATES, seed=SEED + 1,
                                     inserts_per_relation=2))
@@ -158,13 +149,11 @@ class TestC19ObsExport:
             f"from the re-parsed file"
             + (" (quick mode)" if QUICK else "")
         )
-        runtime.close()
         table.show()
 
     def test_cli_renders_exports(self, tmp_path):
-        isolated, pdms, network, executor, server, runtime = _stack()
+        isolated, pdms, network, executor, server = _stack()
         executor.execute(_course_query(pdms), "p0", dict(OPTIONS))
-        runtime.close()
         span_path = tmp_path / "spans.jsonl"
         metrics_path = tmp_path / "metrics.jsonl"
         export_spans(isolated.tracer, span_path)
@@ -183,7 +172,7 @@ class TestC19ObsExport:
 
         profile_out = cli("profile", str(span_path), "--sort", "cum")
         assert "span profile" in profile_out
-        assert "pdms.execute;execute.fetch_batch;runtime.task;execute.fetch" \
+        assert "pdms.execute;execute.fetch_batch;execute.fetch" \
             in profile_out
         traces_out = cli("traces", str(span_path), "--limit", "1")
         assert "- pdms.execute" in traces_out

@@ -35,10 +35,34 @@ class RevereNode:
     def __init__(self, system: "RevereSystem", name: str):  # noqa: D107
         self.system = system
         self.name = name
-        self.store = TripleStore(name)
-        self.publisher = Publisher(self.store)
+        self._store: TripleStore | None = None
+        self._publisher: Publisher | None = None
         self.peer: Peer = system.pdms.add_peer(name)
         self._exported: dict[str, list[str]] = {}
+
+    # The default repository is in memory and built on first use, so a
+    # node that is handed a durable store never builds a throwaway one.
+    @property
+    def store(self) -> TripleStore:
+        """This node's repository."""
+        if self._store is None:
+            self._store = TripleStore(self.name)
+        return self._store
+
+    @store.setter
+    def store(self, store: TripleStore) -> None:
+        self._store = store
+
+    @property
+    def publisher(self) -> Publisher:
+        """The publisher into :attr:`store`."""
+        if self._publisher is None:
+            self._publisher = Publisher(self.store)
+        return self._publisher
+
+    @publisher.setter
+    def publisher(self, publisher: Publisher) -> None:
+        self._publisher = publisher
 
     # -- MANGROVE side -----------------------------------------------------
     def annotate(self, url: str, html: str, schema: str | LightweightSchema = "university") -> AnnotationSession:

@@ -110,9 +110,3 @@ class LSDMatcher:
                     result.add(sample.path, label, score)
         result = result.best_per_source() if not one_to_one else result.one_to_one()
         return result
-
-    def predict_distribution(self, sample: ElementSample) -> dict[str, float]:
-        """Raw ensemble distribution for one element (advisor hook)."""
-        if not self._trained:
-            self.train()
-        return self.meta.predict(sample)

@@ -26,30 +26,15 @@ and is the parity oracle for the whole ensemble.
 
 from __future__ import annotations
 
+import threading
 from time import perf_counter
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.corpus.match.learners import BaseLearner, ElementSample
-from repro.runtime import ExecutionRuntime, SerialRuntime
 
 _RRF_K = 1.0
-
-
-def _score_learner(task):
-    """One learner's batched scoring — the fan-out work unit.
-
-    Module-level (not a closure) so a :class:`~repro.runtime.
-    ProcessPoolRuntime` can pickle it for CPU-bound fan-out; in-process
-    runtimes call it on the shared learner objects directly.  Returns
-    the distributions plus the scoring time so the per-learner timing
-    histograms can be recorded by the coordinating thread.
-    """
-    learner, samples, labels = task
-    started = perf_counter()
-    distributions = learner.predict_batch(samples, labels)
-    return distributions, (perf_counter() - started) * 1000.0
 
 
 def stratified_holdout_indices(labels: list[str], fraction: float) -> list[int]:
@@ -109,22 +94,20 @@ class MetaLearner:
         learners: list[BaseLearner],
         stack_fraction: float = 0.33,
         obs: "_obs.Observability | None" = None,
-        runtime: "ExecutionRuntime | None" = None,
     ):  # noqa: D107
         if not learners:
             raise ValueError("MetaLearner needs at least one base learner")
         self.learners = learners
-        # Fan-out runtime for per-learner batched scoring (ISSUE 9):
-        # learners are independent given frozen weights, and the work
-        # unit is a picklable module-level function, so thread AND
-        # process pools both apply here.
-        self.runtime = runtime or SerialRuntime()
         self.stack_fraction = stack_fraction
         self.weights = np.ones(len(learners)) / len(learners)
         self.labels: list[str] = []
         self._samples: list[ElementSample] = []
         self._sample_labels: list[str] = []
         self._weights_stale = False
+        # Callers may predict from several threads: one of them refreshes
+        # stale weights while the others wait, so none predicts with the
+        # old weights.
+        self._refresh_lock = threading.Lock()
         # One latency histogram per base learner, keyed by class name —
         # where batched prediction time actually goes, learner by learner.
         metrics = (obs or _obs.default()).metrics
@@ -206,7 +189,12 @@ class MetaLearner:
     def _refresh_weights(self) -> None:
         if not self._weights_stale:
             return
-        self._weights_stale = False
+        with self._refresh_lock:
+            if self._weights_stale:
+                self.weights = self._stacked_weights()
+                self._weights_stale = False
+
+    def _stacked_weights(self) -> np.ndarray:
         samples, labels = self._samples, self._sample_labels
         holdout = stratified_holdout_indices(labels, self.stack_fraction)
         if (
@@ -214,8 +202,7 @@ class MetaLearner:
             or not holdout
             or len(samples) - len(holdout) < 1
         ):
-            self.weights = np.ones(len(self.learners)) / len(self.learners)
-            return
+            return np.ones(len(self.learners)) / len(self.learners)
         # The learners are already trained on everything (incremental
         # adds), so the holdout was seen in training — a slightly
         # optimistic evaluation, traded for never refitting; the
@@ -223,7 +210,7 @@ class MetaLearner:
         stack_samples = [samples[i] for i in holdout]
         stack_labels = [labels[i] for i in holdout]
         predictions_per_sample = self._stack_predictions(stack_samples)
-        self.weights = self._select_weights(predictions_per_sample, stack_labels)
+        return self._select_weights(predictions_per_sample, stack_labels)
 
     def _select_weights(self, predictions_per_sample, stack_labels) -> np.ndarray:
         """Pick the best weighting candidate on the holdout predictions."""
@@ -277,16 +264,6 @@ class MetaLearner:
 
         return max(candidates, key=holdout_quality)
 
-    def freeze_weights(self) -> None:
-        """Refresh stale stacking weights now, on the calling thread.
-
-        Fan-out call sites (``match_corpus``) invoke this before
-        handing samples to worker threads so every worker predicts
-        against identical, already-refreshed learner state instead of
-        racing the lazy refresh.
-        """
-        self._refresh_weights()
-
     # -- prediction -----------------------------------------------------------
     def predict(self, sample: ElementSample) -> dict[str, float]:
         """Rank-fused combination of the base learners (fast paths)."""
@@ -305,20 +282,15 @@ class MetaLearner:
         blocking).  With ``labels=None`` the output is bitwise
         identical to per-sample :meth:`predict`.
 
-        One runtime task per learner — each learner's output depends
-        only on its own trained state, so the combined distributions
-        do not depend on the runtime (``tests/test_runtime.py`` pins it
-        bitwise).  Weights are refreshed *before* the fan-out, on the
-        calling thread, so tasks see frozen learner state.
+        Each learner's batched scoring is timed on its own
+        ``match.learner.<class>.ms`` histogram.
         """
         self._refresh_weights()
-        tasks = [(learner, samples, labels) for learner in self.learners]
         per_learner = []
-        for (distributions, ms), timer in zip(
-            self.runtime.map(_score_learner, tasks), self._learner_timers
-        ):
-            per_learner.append(distributions)
-            timer.observe(ms)
+        for learner, timer in zip(self.learners, self._learner_timers):
+            started = perf_counter()
+            per_learner.append(learner.predict_batch(samples, labels))
+            timer.observe((perf_counter() - started) * 1000.0)
         if labels is None:
             combine_labels = self.labels
         else:

@@ -47,7 +47,6 @@ from repro.corpus.match.lsd import default_learners
 from repro.corpus.match.meta import MetaLearner
 from repro.corpus.model import Corpus, CorpusSchema
 from repro.corpus.stats import BasicStatistics, StatisticsOptions
-from repro.runtime import ExecutionRuntime, SerialRuntime
 from repro.text import SynonymTable
 
 
@@ -70,21 +69,10 @@ class CorpusMatchPipeline:
         threshold: float = 0.0,
         one_to_one: bool = False,
         obs: "_obs.Observability | None" = None,
-        runtime: "ExecutionRuntime | None" = None,
     ):  # noqa: D107
         self.mediated = mediated
         self.obs = obs or _obs.default()
-        # Fan-out runtime (ISSUE 9).  Per-learner scoring ships
-        # picklable work units, so the MetaLearner gets it as given;
-        # match_corpus's per-source tasks are closures, so a process
-        # pool resolves to a serial runtime for them, once.
-        self.runtime = runtime or SerialRuntime(obs=self.obs)
-        self._source_runtime = self.runtime.for_closures()
-        self.meta = MetaLearner(
-            learners or default_learners(synonyms),
-            obs=self.obs,
-            runtime=self.runtime,
-        )
+        self.meta = MetaLearner(learners or default_learners(synonyms), obs=self.obs)
         self.block_k = block_k
         self.threshold = threshold
         self.one_to_one = one_to_one
@@ -102,8 +90,9 @@ class CorpusMatchPipeline:
             "labels_scored": 0,
             "labels_available": 0,
         }
-        # Dict += is read-modify-write: concurrent match_corpus workers
-        # must not lose counts (registry instruments lock themselves).
+        # Dict += is read-modify-write: callers matching from several
+        # threads must not lose counts (registry instruments lock
+        # themselves).
         self._counter_lock = threading.Lock()
         # The per-object counters above stay the stats_snapshot() source
         # of truth; the registry mirrors them under ``match.*`` so they
@@ -261,28 +250,14 @@ class CorpusMatchPipeline:
         """Predict mappings for every schema in ``corpus`` — the
         paper's "predict mappings for subsequent data sources", plural.
 
-        One runtime task per source, each the full :meth:`match_source`
-        path (its nested per-learner fan-out runs inline on pool
-        workers).  Stacking weights are frozen up front so every task
-        scores against identical state, and results are reassembled in
-        corpus order — the output does not depend on the runtime.  An
-        empty corpus is ``{}``, trained or not.
+        Each source takes the full :meth:`match_source` path, in corpus
+        order.  An empty corpus is ``{}``, trained or not.
         """
-        names = list(corpus.schemas)
-        # One covering span for the whole corpus: pool workers'
-        # match.source spans re-parent here (via the captured trace
-        # context) instead of becoming orphan roots.
-        with self.obs.tracer.span(
-            "match.corpus", sources=len(names), workers=self._source_runtime.workers
-        ):
-            self.meta.freeze_weights()
-            results = self._source_runtime.map(
-                lambda name: self.match_source(
-                    corpus.schemas[name], blocking=blocking
-                ),
-                names,
-            )
-            return dict(zip(names, results))
+        with self.obs.tracer.span("match.corpus", sources=len(corpus.schemas)):
+            return {
+                name: self.match_source(schema, blocking=blocking)
+                for name, schema in corpus.schemas.items()
+            }
 
     # -- introspection ---------------------------------------------------------
     def stats_snapshot(self) -> dict:

@@ -9,7 +9,7 @@ collection of disparate structures."
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -25,11 +25,6 @@ class Element:
     def relation(self) -> str:
         """The relation this element belongs to (itself for relations)."""
         return self.path.split(".", 1)[0]
-
-    @property
-    def local_name(self) -> str:
-        """Unqualified name (attribute name, or the relation name)."""
-        return self.path.rsplit(".", 1)[-1]
 
 
 @dataclass
@@ -117,7 +112,6 @@ class Corpus:
     def __init__(self) -> None:  # noqa: D107
         self.schemas: dict[str, CorpusSchema] = {}
         self.mappings: list[MappingRecord] = []
-        self.queries: list[str] = []
 
     def add_schema(self, schema: CorpusSchema) -> CorpusSchema:
         """Register a schema (name must be fresh)."""
@@ -133,18 +127,9 @@ class Corpus:
                 raise ValueError(f"mapping references unknown schema {name!r}")
         self.mappings.append(record)
 
-    def add_query(self, text: str) -> None:
-        """Record a query posed over corpus schemas (term-usage signal)."""
-        self.queries.append(text)
-
     def get(self, name: str) -> CorpusSchema:
         """Schema by name."""
         return self.schemas[name]
-
-    def all_elements(self) -> Iterator[Element]:
-        """Every element of every schema."""
-        for schema in self.schemas.values():
-            yield from schema.elements()
 
     def mappings_between(self, schema_a: str, schema_b: str) -> list[MappingRecord]:
         """Known mappings connecting two schemas, either direction."""

@@ -40,12 +40,10 @@ sharded engines can share one registry without colliding).
 
 The pipeline around the core (ISSUE 10):
 
-* :class:`~repro.obs.context.TraceContext` — the propagatable identity
-  of one open span.  The runtime pools capture the caller's context
-  (:meth:`~repro.obs.trace.Tracer.current_context`) and activate it on
-  every worker, so a parallel fan-out yields ONE trace instead of
-  orphan worker roots, and the simulated network stamps each message
-  with the emitting span's ids.
+* span ids — the simulated network stamps each message with the
+  emitting span's ``(trace_id, span_id)``
+  (:meth:`~repro.obs.trace.Tracer.current_ids`), so a message log
+  joins back onto the trace that sent it.
 * :mod:`repro.obs.profile` — folds completed span trees by path into
   cumulative/self wall-time, call counts and per-path latency
   quantiles (flame-graph-shaped, rendered as a sorted text report).
@@ -56,12 +54,11 @@ The pipeline around the core (ISSUE 10):
 
 See ``docs/observability.md`` for the runnable walkthrough (trace one
 C14-style serve, print the span tree and the ``explain()`` report,
-then follow one cross-peer parallel execution end to end).
+then follow one cross-peer execution end to end).
 """
 
 from __future__ import annotations
 
-from repro.obs.context import TraceContext
 from repro.obs.metrics import (
     DEFAULT_BUCKETS_COUNT,
     DEFAULT_BUCKETS_MS,
@@ -132,7 +129,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "Span",
-    "TraceContext",
     "Tracer",
     "default",
 ]

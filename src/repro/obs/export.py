@@ -16,8 +16,8 @@ exactly.  Schema (``SCHEMA_VERSION`` bumps on any breaking change)::
      "error": true}               # absent when false
 
 :func:`assemble_traces` inverts the flattening: records whose parent
-is absent from the stream — fragments from another process, truncated
-files — become roots of their own, so partial exports still render.
+is absent from the stream — a truncated file — become roots of their
+own, so partial exports still render.
 The round trip ``assemble_traces(read_records(export_spans(roots)))``
 equals ``[root.to_dict() for root in roots]`` exactly
 (``tests/test_obs_export.py`` pins it property-style).
@@ -61,10 +61,8 @@ def span_records(roots) -> "list[dict]":
     Span ids are lazy on the hot path (see
     :meth:`~repro.obs.trace.Span.__enter__`), so exporting assigns any
     still-missing ``span_id``/``trace_id`` here — from the span's own
-    tracer, so ids already handed out (message stamping, captured
-    contexts) are never reused — and derives implicit parent links
-    from the tree walk.  An explicit ``parent_id`` (a span parented
-    across a thread or process hop) always wins.
+    tracer, so ids already handed out (message stamping) are never
+    reused — and derives parent links from the tree walk.
     """
     records: list[dict] = []
 
@@ -85,9 +83,8 @@ def span_records(roots) -> "list[dict]":
             "name": span.name,
             "duration_ms": span.duration_ms,
         }
-        linked = span.parent_id if span.parent_id is not None else parent_id
-        if linked is not None:
-            record["parent_id"] = linked
+        if parent_id is not None:
+            record["parent_id"] = parent_id
         if span.attrs:
             record["attrs"] = dict(span.attrs)
         if span.error:
@@ -134,8 +131,8 @@ def assemble_traces(records, include_ids: bool = False) -> list[dict]:
     :meth:`~repro.obs.trace.Span.to_dict` (plus the id fields when
     ``include_ids``), in first-appearance order.  Because the exporter
     writes depth-first preorder, file order reproduces child order;
-    records whose parent is not in the stream become roots (cross-
-    process fragments stay visible rather than vanishing).
+    records whose parent is not in the stream become roots (a truncated
+    file's orphans stay visible rather than vanishing).
     """
     nodes: dict[str, dict] = {}
     roots: list[dict] = []

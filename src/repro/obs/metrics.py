@@ -29,15 +29,14 @@ Design points:
   hold direct references; a registry reset must not silently detach
   them.
 
-* **Thread-safe mutation.**  The parallel runtime (ISSUE 9) made the
-  fan-out sites the first callers to hit one registry from multiple
-  threads, and ``value += amount`` / ``bucket += 1`` are read-modify-
-  write races under preemption.  Every instrument therefore guards its
-  mutations (and ``reset``) with a per-instrument lock, and the
-  registry's get-or-create is locked so two threads asking for the same
-  name always receive the same object.  Reads (snapshots, quantiles)
-  stay lockless: they are only meaningful after the writers have been
-  joined, which is how every caller uses them
+* **Thread-safe mutation.**  A caller may record on one registry from
+  several threads of its own, and ``value += amount`` / ``bucket += 1``
+  are read-modify-write races under preemption.  Every instrument
+  therefore guards its mutations (and ``reset``) with a per-instrument
+  lock, and the registry's get-or-create is locked so two threads
+  asking for the same name always receive the same object.  Reads
+  (snapshots, quantiles) stay lockless: they are only meaningful after
+  the writers have been joined, which is how every caller uses them
   (``tests/test_runtime.py`` hammers one registry from N threads and
   asserts exact final totals).
 

@@ -10,8 +10,7 @@ on — and accumulates per path:
 * ``cum_ms`` — cumulative wall-time (the span's whole duration,
   children included);
 * ``self_ms`` — time not attributed to any child span (clamped at
-  zero: children overlapped by a concurrent runtime can sum past
-  their parent's wall-clock, which is overlap, not negative work);
+  zero, so clock rounding never reports negative work);
 * ``errors`` — spans that closed with the error flag set;
 * a fixed-bucket latency :class:`~repro.obs.metrics.Histogram` of the
   per-call durations, for per-path p50/p95 quantiles.

@@ -1,4 +1,4 @@
-"""Hierarchical spans with context propagation (`repro.obs`).
+"""Hierarchical spans (`repro.obs`).
 
 A :class:`Tracer` produces a tree of :class:`Span`\\ s per top-level
 operation: the instrumented hot paths open spans with ``with
@@ -25,21 +25,15 @@ Cost discipline:
   ``Tracer.roots`` up to ``max_roots`` (oldest dropped) so a
   long-running traced process cannot leak its whole history.
 
-Cross-thread and cross-process propagation (ISSUE 10): every span
-carries ``trace_id`` / ``span_id`` / ``parent_id`` — assigned
-*lazily*, on capture/stamp/export rather than on open, so the id
-machinery costs the traced hot loops nothing (the C15 gate holds with
-propagation on) — and
-:meth:`Tracer.current_context` captures the innermost open span as a
-:class:`~repro.obs.context.TraceContext` that
-:meth:`Tracer.activate` installs as another thread's ambient parent —
-the mechanism the runtime pools use to re-parent worker spans under
-the caller's span.  :meth:`Tracer.current_ids` is the cheap id-only
-hook the simulated network uses to stamp messages with the emitting
-span.  Root retention is safe under concurrent filing: closing spans
-file with a GIL-atomic ``deque.append`` and readers retry the copy,
-so workers on many threads can file fragment roots while another
-thread renders or exports.
+Ids: every span carries ``trace_id`` / ``span_id``, assigned *lazily*
+— on stamp or export rather than on open — so the id machinery costs
+the traced hot loops nothing (the C15 gate).
+:meth:`Tracer.current_ids` is the cheap id-only hook the simulated
+network uses to stamp messages with the emitting span.  Root retention
+is safe under concurrent filing: closing spans file with a GIL-atomic
+``deque.append`` and readers retry the copy, so a caller tracing from
+several threads of its own may file roots while another thread
+renders or exports.
 
 Rendering: :meth:`Tracer.render` draws an indented ASCII tree with
 per-span durations and attributes; :meth:`Tracer.to_json` exports the
@@ -55,8 +49,6 @@ import threading
 from collections import deque
 from itertools import count
 from time import perf_counter
-
-from repro.obs.context import ContextActivation, TraceContext
 
 
 class _NoopSpan:
@@ -79,15 +71,10 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _TracerLocal(threading.local):
-    """Per-thread tracer state with a class-level ambient default.
+    """Per-thread tracer state: the thread's current-span stack."""
 
-    The class attribute makes ``local.context`` a plain (fast) read on
-    threads that never activated a context — ``getattr`` with a default
-    would pay the internal AttributeError on every new-trace root span,
-    which the C15 overhead gate charges.
-    """
-
-    context = None
+    def __init__(self):  # noqa: D107 -- runs once per thread
+        self.stack: list = []
 
 
 class Span:
@@ -99,21 +86,18 @@ class Span:
     fields, pops the stack, and files root spans on ``Tracer.roots``.
     """
 
-    __slots__ = ("name", "attrs", "error", "trace_id", "span_id", "parent_id",
+    __slots__ = ("name", "attrs", "error", "trace_id", "span_id",
                  "_tracer", "_children", "_started", "_duration", "_is_root")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):  # noqa: D107
         self.name = name
         self.attrs = attrs
         self.error = False
-        # Ids are lazy (the C15 gate rules the open/close path): roots
-        # get trace_id on __enter__, span_id/trace_id for nested spans
-        # are assigned only on capture, stamp or export; parent_id is
-        # stored only where the tree walk cannot recover it (spans
-        # parented across a thread/process hop).
+        # Ids are lazy (the C15 gate rules the open/close path): they
+        # are assigned only on stamp or export, and the parent link is
+        # recovered from the tree walk.
         self.trace_id: str | None = None
         self.span_id: str | None = None
-        self.parent_id: str | None = None
         self._tracer = tracer
         # Lazily allocated on first child — most spans are leaves, and
         # the hot paths open thousands of them.
@@ -142,12 +126,11 @@ class Span:
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        stack = tracer._stack
+        stack = self._tracer._local.stack
         if stack:
             # Same-thread nesting: the classic call-stack parent.  Ids
             # stay unassigned — the C15 overhead gate rules this path,
-            # and most spans are never captured, stamped or exported.
+            # and most spans are never stamped or exported.
             # ``trace_id`` is recoverable from the stack root and the
             # parent link from the tree walk (see ``Tracer.current_ids``
             # and ``export.span_records``), so nothing is lost.
@@ -157,25 +140,9 @@ class Span:
             else:
                 parent._children.append(self)
         else:
-            context = tracer._local.context
-            if context is None:
-                # A brand-new trace on this thread; its trace_id is
-                # assigned on first capture/stamp/export.
-                self._is_root = True
-            else:
-                self.trace_id = context.trace_id
-                self.parent_id = context.span_id
-                self.span_id = tracer._next_span_id()
-                live = context.span
-                if live is not None:
-                    # Live attach: the capture site materialized the
-                    # parent's child list, and list.append is atomic
-                    # under the GIL, so concurrent workers are safe.
-                    live._children.append(self)
-                else:
-                    # Wire-only context (crossed a process boundary):
-                    # file a fragment root; the exporter links by ids.
-                    self._is_root = True
+            # A brand-new trace on this thread; its trace_id is
+            # assigned on first stamp/export.
+            self._is_root = True
         stack.append(self)
         self._started = perf_counter()
         return self
@@ -185,14 +152,14 @@ class Span:
         if exc_type is not None:
             self.error = True
             self.attrs["error_type"] = exc_type.__name__
-        stack = self._tracer._stack
+        stack = self._tracer._local.stack
         if stack and stack[-1] is self:
             stack.pop()
         if not stack and self._is_root:
             # deque.append is atomic under the GIL (and maxlen evicts
-            # atomically), so filing needs no lock even when many pool
-            # workers file fragment roots at once; concurrent *readers*
-            # retry instead (see Tracer.root_list).
+            # atomically), so filing needs no lock even when several
+            # threads file roots at once; concurrent *readers* retry
+            # instead (see Tracer.root_list).
             self._tracer.roots.append(self)
         return False  # propagate exceptions
 
@@ -243,22 +210,12 @@ class Tracer:
     """Produces span trees; disabled (the default) it is a no-op.
 
     **One current-span stack per thread.**  Context propagation is call
-    nesting, and with the parallel runtime (ISSUE 9) the call stacks
-    are per-thread: a span opened inside a pool worker nests under
-    whatever that *worker* has open, never under another thread's span,
-    so concurrent fan-out cannot corrupt a tree.
-
-    **Cross-thread parenting is explicit** (ISSUE 10): a thread with an
-    *activated* :class:`~repro.obs.context.TraceContext` (see
-    :meth:`activate`) parents its root-level spans under the captured
-    span instead of opening a fresh trace — the runtime pools do this
-    for every worker, so a parallel fan-out yields one tree.  Worker
-    spans with neither an open span nor an activated context still
-    become their own roots, which ``tests/test_runtime.py``
-    stress-asserts.  Root filing stays a bare GIL-atomic deque append
-    (the C15 bar charges every root for it); renderers and exporters
-    read through retrying copies, so many threads may file fragment
-    roots while another renders, exports or clears.
+    nesting, and call stacks are per-thread: a span opened on another
+    thread nests under whatever *that* thread has open, or becomes its
+    own root, so concurrent callers cannot corrupt each other's trees
+    (``tests/test_runtime.py`` stress-asserts this).  Root filing stays
+    a bare GIL-atomic deque append (the C15 bar charges every root for
+    it); renderers and exporters read through retrying copies.
     """
 
     def __init__(self, enabled: bool = False, max_roots: int = 64):  # noqa: D107
@@ -269,17 +226,9 @@ class Tracer:
         self.roots: deque[Span] = deque(maxlen=max_roots)
         self._local = _TracerLocal()
         # itertools.count.__next__ is atomic under the GIL, so id
-        # assignment needs no lock even across pool workers.
+        # assignment needs no lock even across threads.
         self._span_ids = count(1)
         self._trace_ids = count(1)
-
-    @property
-    def _stack(self) -> list:
-        """This thread's current-span stack (created on first use)."""
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def _next_span_id(self) -> str:
         return f"s{next(self._span_ids)}"
@@ -295,31 +244,10 @@ class Tracer:
 
     def current(self) -> Span | None:
         """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        stack = self._local.stack
+        return stack[-1] if stack else None
 
-    # -- context propagation -----------------------------------------------
-    def current_context(self) -> TraceContext | None:
-        """Capture the innermost open span as a propagatable context.
-
-        ``None`` when tracing is disabled or nothing is open — callers
-        (the runtime pools) skip activation entirely in that case.
-        Falls through to the thread's own activated context, so a
-        worker capturing mid-fan-out hands nested workers the same
-        parent it was given.
-        """
-        if not self.enabled:
-            return None
-        stack = self._stack
-        if stack:
-            span = stack[-1]
-            self._ensure_ids(span, stack)
-            # Materialize the child list now, single-threaded, so the
-            # workers' live attaches are bare list.appends.
-            if span._children is None:
-                span._children = []
-            return TraceContext(span.trace_id, span.span_id, span)
-        return self._local.context
-
+    # -- ids ---------------------------------------------------------------
     def _ensure_ids(self, span: Span, stack: list) -> None:
         """Assign ``span``'s lazy ids (spans skip them on open)."""
         if span.span_id is None:
@@ -337,25 +265,13 @@ class Tracer:
         tuple) the simulated network uses to stamp every message with
         the span that emitted it.
         """
-        stack = self._stack
-        if stack:
-            span = stack[-1]
-            if span.span_id is None or span.trace_id is None:
-                self._ensure_ids(span, stack)
-            return span.trace_id, span.span_id
-        context = self._local.context
-        if context is not None:
-            return context.trace_id, context.span_id
-        return None
-
-    def activate(self, context: TraceContext | None) -> ContextActivation:
-        """Scoped ambient parent for this thread's root-level spans.
-
-        ``with tracer.activate(ctx): ...`` — spans opened with nothing
-        on the thread's stack attach under ``ctx`` instead of starting
-        a new trace.  Activating ``None`` is a no-op scope.
-        """
-        return ContextActivation(self._local, context)
+        stack = self._local.stack
+        if not stack:
+            return None
+        span = stack[-1]
+        if span.span_id is None or span.trace_id is None:
+            self._ensure_ids(span, stack)
+        return span.trace_id, span.span_id
 
     # -- root retention ------------------------------------------------------
     # Filing is a bare (GIL-atomic) deque.append on the hot close path;

@@ -12,19 +12,17 @@ nodes").  The executor here:
   :class:`ExecutionStats` records messages, tuples and latency once per
   peer, not once per relation (the pre-scale per-relation path survives
   as :meth:`DistributedExecutor.execute_brute_force`);
-* **fans out per peer** (ISSUE 9): the batched per-peer fetches are
-  tasks handed to the executor's :mod:`repro.runtime` — the default
-  :class:`~repro.runtime.SerialRuntime` runs them in order on the
-  calling thread, ``runtime=ThreadPoolRuntime(N)`` on N workers — and
-  the network charges the batch the makespan of that many workers
+* **fans out per peer**: the batched per-peer fetches are one
+  :class:`~repro.runtime.SerialRuntime` batch, and the network charges
+  it the makespan of the executor's modeled ``workers``
   (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`:
   the serial sum for one).  Tasks only snapshot peer data; every stat,
-  metric and network charge is applied on the calling thread *after*
-  the whole batch returns, in plan order — so answers and message/byte
-  accounting do not depend on the runtime (benchmark C18 and
-  ``tests/test_runtime.py`` assert it) and a task failing mid-fan-out
-  propagates without leaving a partially-applied
-  :class:`ExecutionStats` or a half-charged network;
+  metric and network charge is applied *after* the whole batch
+  returns, in plan order — so answers and message/byte accounting do
+  not depend on ``workers`` (benchmark C18 and ``tests/test_runtime.py``
+  assert it) and a task failing mid-fan-out propagates without leaving
+  a partially-applied :class:`ExecutionStats` or a half-charged
+  network;
 * evaluates the union with the shared-table hash join of
   :func:`repro.piazza.datalog.evaluate_union`, fetching only the
   relations the rewritings mention instead of materializing the global
@@ -62,7 +60,7 @@ from repro.piazza.datalog import (
 )
 from repro.piazza.network import SimulatedNetwork
 from repro.piazza.peer import PDMS, owner_of
-from repro.runtime import ExecutionRuntime, SerialRuntime
+from repro.runtime import SerialRuntime
 
 
 @dataclass
@@ -100,22 +98,28 @@ class MaterializedView:
 
 
 class DistributedExecutor:
-    """Executes unions of CQs over the PDMS's stored relations."""
+    """Executes unions of CQs over the PDMS's stored relations.
+
+    ``workers`` is the modeled fan-out width: each fetch batch (and any
+    :class:`~repro.piazza.serving.ViewServer` propagation built on this
+    executor) is charged the makespan of that many concurrent workers.
+    """
 
     def __init__(
         self,
         pdms: PDMS,
         network: SimulatedNetwork | None = None,
         obs: "_obs.Observability | None" = None,
-        runtime: "ExecutionRuntime | None" = None,
+        workers: int = 1,
     ):  # noqa: D107
+        if workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {workers}")
         self.pdms = pdms
         self.obs = obs or pdms.obs
         self.network = network or SimulatedNetwork(obs=self.obs)
-        # The fan-out runtime (shared with any ViewServer built on this
-        # executor).  Fetch tasks are closures over live peers, so a
-        # process pool resolves to a serial runtime here, once.
-        self.runtime = (runtime or SerialRuntime(obs=self.obs)).for_closures()
+        self.workers = workers
+        # Shared with any ViewServer built on this executor.
+        self.runtime = SerialRuntime(obs=self.obs)
         self._views: dict[tuple, MaterializedView] = {}
         # Metric handles cached once: the per-query hot path records
         # events with attribute adds, not registry lookups.
@@ -208,19 +212,18 @@ class DistributedExecutor:
     ) -> Instance:
         """Fetch the plan's relations: one runtime task per remote peer.
 
-        Tasks only *snapshot* each remote peer's relation extents — the
-        simulated-I/O-bound half of a fetch.  All shared-state mutation
-        happens back on the calling thread after the whole batch has
+        Tasks only *snapshot* each remote peer's relation extents.  All
+        shared-state mutation happens after the whole batch has
         returned, in plan order: the fetched instance is merged, every
         stat/metric is applied once, and the network records one
         request/response pair per peer and charges the batch its
-        makespan over the runtime's workers.  A task raising therefore
+        makespan over the modeled ``workers``.  A task raising therefore
         propagates before anything — stats, metrics, network — has been
-        touched, and the runtime stays reusable.
+        touched.
         """
         network = self.network
         with self.obs.tracer.span(
-            "execute.fetch_batch", peers=len(remote), workers=self.runtime.workers
+            "execute.fetch_batch", peers=len(remote), workers=self.workers
         ) as span:
             snapshots = self.runtime.map(self._snapshot, remote)
             # Local relations are free and read live.
@@ -247,9 +250,7 @@ class DistributedExecutor:
                         (owner, at_peer, payload, "response"),
                     )
                 )
-            cost = network.concurrent_round_trips(
-                trips, workers=self.runtime.workers
-            )
+            cost = network.concurrent_round_trips(trips, workers=self.workers)
             stats.latency_ms += cost
             span.annotate(overlapped_ms=round(cost, 3))
         return fetched

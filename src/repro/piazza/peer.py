@@ -242,10 +242,6 @@ class Peer:
         peer.attach_log(log)
         return peer
 
-    def qualified_schema(self) -> dict[str, list[str]]:
-        """Peer relations with qualified names."""
-        return {peer_relation(self.name, rel): attrs for rel, attrs in self.schema.items()}
-
 
 @dataclass(frozen=True)
 class StorageDescription:

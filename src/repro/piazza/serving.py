@@ -29,13 +29,12 @@ front, composing the four prior scale layers:
   discipline (``benchmarks/bench_c14_view_scale.py`` asserts the
   at-most-one-round-trip-per-subscriber invariant);
 * the per-subscriber batches and the affected views — independent
-  objects, each owning its shadow instance — are tasks on the
-  executor's :mod:`repro.runtime` (ISSUE 9), and the propagation is
-  charged its makespan over that runtime's workers
+  objects, each owning its shadow instance — are batches on the
+  executor's :class:`~repro.runtime.SerialRuntime`, and the propagation
+  is charged its makespan over the executor's modeled ``workers``
   (:meth:`~repro.piazza.network.SimulatedNetwork.concurrent_round_trips`:
-  the serial sum under the default
-  :class:`~repro.runtime.SerialRuntime`); ``tests/test_runtime.py``
-  and benchmark C18 pin answers and traffic equal across runtimes.
+  the serial sum for one); ``tests/test_runtime.py`` and benchmark C18
+  pin answers and traffic equal across worker counts.
 
 Reads go through :meth:`DistributedExecutor.execute(..., views=server)
 <repro.piazza.execution.DistributedExecutor.execute>`: a registered
@@ -141,9 +140,10 @@ class ViewServer:
         self.pdms = executor.pdms
         self.network = executor.network
         self.obs = executor.obs
-        # Updategram propagation and per-view maintenance fan out
-        # through the executor's (closure-capable) runtime (ISSUE 9).
+        # Updategram propagation and per-view maintenance are batches
+        # on the executor's runtime, charged over its modeled workers.
         self.runtime = executor.runtime
+        self.workers = executor.workers
         self.reformulation_options = dict(reformulation_options or {})
         self.stats = ServingStats()
         # Cached metric handles: serve() is the per-query hot path, so
@@ -433,9 +433,9 @@ class ViewServer:
 
         Tasks assemble each peer's payload (the union of delta rows its
         affected views need — pure reads of the immutable qualified
-        gram); the calling thread then records one update/update-ack
+        gram); the caller then records one update/update-ack
         pair per peer, in sorted peer order, and charges the batch its
-        makespan over the runtime's workers.  At most one round trip
+        makespan over the modeled workers.  At most one round trip
         per subscriber peer per gram.
         """
 
@@ -449,7 +449,7 @@ class ViewServer:
                 span.annotate(payload=payload)
             return payload
 
-        workers = self.runtime.workers
+        workers = self.workers
         with self.obs.tracer.span(
             "serving.propagate_batch", peers=len(remote_peers), workers=workers
         ) as span:
@@ -490,7 +490,7 @@ class ViewServer:
         with self.obs.tracer.span(
             "serving.maintain_batch",
             views=len(ordered),
-            workers=self.runtime.workers,
+            workers=self.workers,
         ):
             return self.runtime.map(_maintain_view, ordered)
 

@@ -53,27 +53,12 @@ class Database:
         self._tables[name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table and its data."""
-        if name not in self._tables:
-            raise SchemaError(f"no table {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name."""
         try:
             return self._tables[name]
         except KeyError:
             raise SchemaError(f"no table {name!r}") from None
-
-    def has_table(self, name: str) -> bool:
-        """True if ``name`` exists in the catalog."""
-        return name in self._tables
-
-    @property
-    def table_names(self) -> list[str]:
-        """All table names in creation order."""
-        return list(self._tables)
 
     # -- DML --------------------------------------------------------------
     def insert(self, table: str, values: tuple | list | Mapping[str, object]) -> int:

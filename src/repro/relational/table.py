@@ -241,11 +241,6 @@ class Table:
         for _row_id, row in self.engine.scan():
             yield self.row_dict(row)
 
-    def scan_ids(self) -> Iterator[tuple[int, dict[str, object]]]:
-        """Yield ``(row_id, row_dict)`` for every live row."""
-        for row_id, row in self.engine.scan():
-            yield row_id, self.row_dict(row)
-
     def checkpoint(self) -> None:
         """Ask the engine to snapshot (no-op on volatile engines)."""
         self.engine.checkpoint()

@@ -32,9 +32,9 @@ from repro import obs as _obs
 class LRUQueryCache:
     """A bounded least-recently-used cache with epoch validation.
 
-    Thread-safe (ISSUE 9): concurrent ``match_corpus`` workers share
-    one engine cache, and an unguarded get/put pair can
-    ``move_to_end``/``del`` a key another thread just evicted.  One
+    Thread-safe: callers on several threads may share one engine
+    cache, and an unguarded get/put pair can ``move_to_end``/``del`` a
+    key another thread just evicted.  One
     lock around each operation keeps the recency order and the
     hit/miss/eviction counts exact under fan-out.
     """

@@ -119,10 +119,9 @@ class CorpusSearchEngine:
         self.sparse_weight = sparse_weight
         self.dense_weight = dense_weight
         self._synced_version = -1
-        # Concurrent match_corpus workers (ISSUE 9) query one shared
-        # engine; the lazy catch-up must not run twice nor expose
-        # half-built indexes to a reader that raced past the version
-        # check.
+        # Callers on several threads may query one shared engine; the
+        # lazy catch-up must not run twice nor expose half-built
+        # indexes to a reader that raced past the version check.
         self._sync_lock = threading.Lock()
         # Constant per engine (one stats instance, one options object);
         # kept in cache keys so entries can never collide across engines

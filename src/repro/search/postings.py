@@ -88,10 +88,6 @@ class InvertedIndex:
                 found.update(row)
         return found
 
-    def document_terms(self, doc_id: DocId) -> tuple:
-        """The terms a document was indexed under (empty if unknown)."""
-        return self._documents.get(doc_id, ())
-
     def terms(self) -> set:
         """Every term with a non-empty posting list."""
         return set(self._postings)
@@ -102,7 +98,3 @@ class InvertedIndex:
     def __len__(self) -> int:
         """Number of indexed documents."""
         return len(self._documents)
-
-    def term_count(self) -> int:
-        """Number of distinct terms with postings."""
-        return len(self._postings)

@@ -118,7 +118,8 @@ class WriteAheadLog:
     Appends are flushed to the OS per record, so a simulated crash
     (dropping the writing objects and re-opening the path) observes
     every committed record.  ``sync=True`` additionally ``fsync``\\ s
-    per append for real-crash durability at a heavy cost.
+    per append for real-crash durability at a heavy cost.  Constructing
+    one touches no file: the first append creates the parent directory.
     """
 
     def __init__(self, path: str | Path, sync: bool = False):  # noqa: D107
@@ -127,7 +128,6 @@ class WriteAheadLog:
         self.truncated_tail = False
         self._handle = None
         self._tail_validated = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def _truncate_to(self, valid: int) -> None:
         """Chop a torn tail so the file ends on a clean frame boundary."""
@@ -160,6 +160,7 @@ class WriteAheadLog:
         if self._handle is None:
             if not self._tail_validated:
                 self._ensure_clean_tail()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             created = not self.path.exists()
             self._handle = open(self.path, "ab")
             if self.sync and created:
@@ -179,10 +180,11 @@ class WriteAheadLog:
         appends start at a clean frame boundary; corruption of a
         *complete* record raises :class:`CorruptLogError`.
         """
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             self._tail_validated = True
             return iter(())
-        data = self.path.read_bytes()
         decoded, truncated, valid = _read_frames(data, str(self.path))
         self.truncated_tail = truncated
         if truncated:
@@ -219,11 +221,11 @@ class SnapshotFile:
     def __init__(self, path: str | Path, sync: bool = False):  # noqa: D107
         self.path = Path(path)
         self.sync = sync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def write(self, payload: dict) -> int:
         """Write the snapshot atomically; returns the bytes written."""
         frame = _frame(payload)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         scratch = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(scratch, "wb") as handle:
             handle.write(frame)
@@ -241,11 +243,11 @@ class SnapshotFile:
         checksum failure here is corruption, not a torn write:
         :class:`CorruptLogError` either way.
         """
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             return None
-        records, truncated, _valid = _read_frames(
-            self.path.read_bytes(), str(self.path)
-        )
+        records, truncated, _valid = _read_frames(data, str(self.path))
         if truncated or len(records) != 1:
             raise CorruptLogError(
                 f"{self.path}: snapshot is incomplete "

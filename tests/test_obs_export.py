@@ -12,22 +12,20 @@ Property-style pins, per the repo's fast-path-with-oracle discipline:
   any completion order yields identical per-path aggregates.  Trees
   use dyadic-rational durations so float summation is exact and the
   property holds with ``==``, not approx.
-* **Fragment stitching** — records whose parent is absent become
-  roots; wire-form contexts produce fragments carrying the
-  originating trace id.
+* **Fragment stitching** — records whose parent is absent (a truncated
+  file) become roots.
 * **CLI** — every ``python -m repro.obs`` subcommand renders the
   exported files in-process (``main()`` returns 0) and fails cleanly
   on garbage input.
 """
 
 import json
-import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, Observability, TraceContext
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.__main__ import main
 from repro.obs.export import (
     assemble_traces,
@@ -147,21 +145,6 @@ class TestSpanExport:
         root = obs.tracer.last_root()
         [assembled] = assemble_traces(span_records([root]))
         assert render_tree(assembled) == root.render()
-
-    def test_wire_context_produces_linkable_fragment(self):
-        obs = Observability(tracing=True)
-        with obs.tracer.span("origin") as origin:
-            context = obs.tracer.current_context()
-        wire = pickle.loads(pickle.dumps(context))
-        assert wire == context  # live span excluded from equality
-        assert wire.span is None
-        with obs.tracer.activate(wire):
-            with obs.tracer.span("remote"):
-                pass
-        fragment = obs.tracer.last_root()
-        assert fragment.name == "remote"
-        assert fragment.trace_id == origin.trace_id
-        assert fragment.parent_id == origin.span_id
 
 
 # -- metrics export -----------------------------------------------------------

@@ -13,7 +13,7 @@ mirrored into the shared metrics registry.  Also pinned here:
   ``reformulate.*`` counters;
 * the batched and brute-force executors bill the same messages at the
   network's per-message cost, one ``execute.round_trip_ms`` observation
-  per round trip, under any runtime;
+  per round trip, at any modeled worker count;
 * cache hit/miss/eviction counters flow from the search layer into the
   same registry.
 """
@@ -28,7 +28,6 @@ from repro.piazza import (
     Updategram,
     ViewServer,
 )
-from repro.runtime import SerialRuntime, ThreadPoolRuntime
 from repro.search.cache import LRUQueryCache
 
 
@@ -179,28 +178,23 @@ class TestNetworkResetSemantics:
 
 
 class TestChargeFetchParity:
-    @pytest.mark.parametrize(
-        "make_runtime",
-        [SerialRuntime, lambda obs: ThreadPoolRuntime(4, obs=obs)],
-        ids=["SerialRuntime", "ThreadPoolRuntime-4"],
-    )
-    def test_batched_and_brute_share_the_cost_model(self, make_runtime):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_batched_and_brute_share_the_cost_model(self, workers):
         # Both executors bill the same messages at the network's
         # per-message cost; on a single-relation query they fetch the
         # same payloads, so messages agree exactly and so does latency
-        # until a pool overlaps the batch (batching only wins when a
-        # peer serves several relations — pinned at scale by C11c).
+        # until modeled workers overlap the batch (batching only wins
+        # when a peer serves several relations — pinned at scale by C11c).
         obs = Observability()
         pdms = chain_pdms(obs)
         pdms.mapping_index()
         query = "q(T) :- uw.course(I, T)"
-        with make_runtime(obs=obs) as runtime:
-            executor = DistributedExecutor(pdms, runtime=runtime)
-            scaled = executor.execute(query, "uw")
-            brute = executor.execute_brute_force(query, "uw")
+        executor = DistributedExecutor(pdms, workers=workers)
+        scaled = executor.execute(query, "uw")
+        brute = executor.execute_brute_force(query, "uw")
         assert scaled.answers == brute.answers
         assert scaled.messages == brute.messages
-        if runtime.workers == 1:
+        if workers == 1:
             assert scaled.latency_ms == brute.latency_ms
         else:
             assert scaled.latency_ms < brute.latency_ms
@@ -210,7 +204,7 @@ class TestChargeFetchParity:
             scaled.messages + brute.messages
         ) // 2
         # One observation per round trip (its own cost, not the batch's
-        # makespan), whichever executor and runtime billed it.
+        # makespan), whichever executor billed it at any worker count.
         histogram = metrics.histogram("execute.round_trip_ms")
         assert histogram.count == metrics.counter("execute.round_trips").value
         assert histogram.total == pytest.approx(2 * brute.latency_ms)

@@ -1,24 +1,24 @@
-"""Battery for the pluggable execution runtime (ISSUE 9).
+"""Battery for the fan-out sites' runtime and modeled concurrency.
 
-Every fan-out site has one code path — tasks through ``runtime.map``,
-mutation after the join — so serial is a runtime value, not a branch.
+Every fan-out site has one code path — tasks through
+:class:`~repro.runtime.SerialRuntime`'s ``map``, mutation after the
+batch — and concurrency is a modeled ``workers`` count, not threads.
 Four layers pin that:
 
-* **Runtime contract** — ``map`` is order-stable, its failure semantics
-  are deterministic (earliest-submitted exception wins), nested fan-out
-  runs inline instead of deadlocking, pools survive a crashed batch, and
-  :class:`~repro.runtime.SerialRuntime` ≡ a thread pool of one.
+* **Runtime contract** — ``map`` is in item order, the first failing
+  item's exception propagates, and a failed batch accounts nothing.
 * **Site parity** — the fan-out sites (distributed execution, corpus
   matching, view serving) produce answers, counters and traffic
-  identical under :class:`~repro.runtime.SerialRuntime` and across
-  worker counts, runs and (via hypothesis) task orders; only the
-  modeled latency may differ, and only downward.
+  identical across modeled worker counts and runs; only the modeled
+  latency may differ, it is the serial sum at one worker, and it only
+  goes down with more workers.
 * **Batch accounting** — ``schedule_makespan`` /
   ``concurrent_round_trips`` charge the makespan over the worker count
   (exactly the serial sum for one) while recording the traffic
   ``send`` would.
-* **Obs thread safety** — hammered counters/histograms/tracers keep
-  exact totals and well-formed per-thread span trees.
+* **Obs thread safety** — callers tracing from threads of their own:
+  hammered counters/histograms/tracers keep exact totals and
+  well-formed per-thread span trees.
 """
 
 import dataclasses
@@ -26,6 +26,7 @@ import functools
 import operator
 import random
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,9 @@ from hypothesis import strategies as st
 
 from repro import obs as _obs
 from repro.corpus.match import CorpusMatchPipeline
+from repro.corpus.match.learners import samples_of
+from repro.corpus.match.lsd import default_learners
+from repro.corpus.match.meta import MetaLearner
 from repro.corpus.model import Corpus
 from repro.datasets.pdms_gen import (
     random_tree_pdms,
@@ -43,12 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.piazza import DistributedExecutor, SimulatedNetwork, ViewServer
 from repro.piazza.network import schedule_makespan
-from repro.runtime import (
-    ExecutionRuntime,
-    ProcessPoolRuntime,
-    SerialRuntime,
-    ThreadPoolRuntime,
-)
+from repro.runtime import SerialRuntime
 from repro.search.cache import LRUQueryCache
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -79,106 +78,25 @@ def _log(network):
 class TestRuntimeContract:
     def test_serial_is_inline_and_ordered(self):
         runtime = SerialRuntime()
-        assert runtime.workers == 1
-        assert runtime.for_closures() is runtime
         assert runtime.map(_square, range(7)) == [v * v for v in range(7)]
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_thread_pool_results_in_item_order(self, workers):
-        with ThreadPoolRuntime(workers=workers) as runtime:
-            items = list(range(50))
-            assert runtime.map(_square, items) == [v * v for v in items]
-
-    def test_process_pool_results_in_item_order(self):
-        with ProcessPoolRuntime(workers=2) as runtime:
-            items = list(range(20))
-            assert runtime.map(_square, items) == [v * v for v in items]
-            # Closure sites get a serial stand-in, resolved by the runtime.
-            assert not runtime.supports_closures
-            assert type(runtime.for_closures()) is SerialRuntime
-
     def test_earliest_submitted_failure_wins(self):
-        # Items 3 and 7 both fail; whatever order the workers finish
-        # in, the exception of the earliest-submitted failure (item 3)
-        # must be the one that propagates — every run, every schedule.
-        items = [1, 2, -3, 4, -7, 5]
-        with ThreadPoolRuntime(workers=4) as runtime:
-            for _ in range(20):
-                with pytest.raises(ValueError, match="bad item -3"):
-                    runtime.map(_fail_on_negative, items)
-
-    def test_pool_reusable_after_failure(self):
-        with ThreadPoolRuntime(workers=4) as runtime:
-            with pytest.raises(ValueError):
-                runtime.map(_fail_on_negative, [1, -2, 3])
-            assert runtime.map(_square, range(10)) == [v * v for v in range(10)]
-
-    def test_close_then_map_recreates_pool(self):
-        runtime = ThreadPoolRuntime(workers=2)
-        assert runtime.map(_square, range(4)) == [0, 1, 4, 9]
-        runtime.close()
-        assert runtime.map(_square, range(4)) == [0, 1, 4, 9]
-        runtime.close()
-        runtime.close()  # idempotent
-
-    def test_nested_map_runs_inline_without_deadlock(self):
-        # A task that fans out again through the same runtime: with a
-        # saturated pool, re-submission would deadlock.  The worker
-        # flag makes the inner map run inline instead.
-        with ThreadPoolRuntime(workers=2) as runtime:
-            def outer(value):
-                return sum(runtime.map(_square, range(value + 1)))
-
-            expected = [sum(v * v for v in range(n + 1)) for n in range(8)]
-            assert runtime.map(outer, range(8)) == expected
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            ThreadPoolRuntime(workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolRuntime(workers=-1)
+        # Items -3 and -7 both fail: the first failing item's exception
+        # propagates, and the failed batch accounts nothing.
+        obs = _obs.Observability()
+        runtime = SerialRuntime(obs=obs)
+        with pytest.raises(ValueError, match="bad item -3"):
+            runtime.map(_fail_on_negative, [1, 2, -3, 4, -7, 5])
+        assert obs.metrics.get("runtime.tasks").value == 0
+        assert obs.metrics.get("runtime.batches").value == 0
 
     def test_map_accounts_runtime_metrics(self):
         obs = _obs.Observability()
-        with ThreadPoolRuntime(workers=3, obs=obs) as runtime:
-            runtime.map(_square, range(5))
+        SerialRuntime(obs=obs).map(_square, range(5))
         assert obs.metrics.get("runtime.tasks").value == 5
         assert obs.metrics.get("runtime.batches").value == 1
-        assert obs.metrics.get("runtime.workers").value == 3
         assert obs.metrics.get("runtime.batch.ms").count == 1
-
-    @given(items=st.permutations(list(range(12))))
-    @settings(max_examples=25, deadline=None)
-    def test_map_matches_serial_for_any_task_order(self, items):
-        # Whatever order the tasks arrive in, the pooled result list is
-        # exactly the serial result list for that same order.
-        serial = SerialRuntime().map(_square, items)
-        with ThreadPoolRuntime(workers=4) as runtime:
-            assert runtime.map(_square, items) == serial
-
-    @given(items=st.lists(st.integers(min_value=-3, max_value=20), max_size=8))
-    @settings(max_examples=25, deadline=None)
-    def test_serial_is_the_pool_of_one(self, items):
-        # The property that lets every fan-out site drop its inline
-        # serial arm: SerialRuntime is observably ThreadPoolRuntime(1) —
-        # same results, same (earliest-failure) exception, same
-        # runtime.* accounting (a failed batch accounts nothing).
-        def outcome(runtime):
-            try:
-                result = runtime.map(_fail_on_negative, items)
-            except ValueError as exc:
-                result = str(exc)
-            metrics = runtime.obs.metrics
-            return (
-                result,
-                metrics.get("runtime.tasks").value,
-                metrics.get("runtime.batches").value,
-                metrics.get("runtime.workers").value,
-            )
-
-        serial = outcome(SerialRuntime(obs=_obs.Observability()))
-        with ThreadPoolRuntime(workers=1, obs=_obs.Observability()) as pool:
-            assert outcome(pool) == serial
+        assert "runtime.workers" not in obs.metrics
 
 
 # -- batch network accounting --------------------------------------------------
@@ -326,11 +244,11 @@ def _executor_workload(peers=24, seed=3):
     return pdms, queries
 
 
-def _run_executor(pdms, queries, runtime, latency_seed=7):
+def _run_executor(pdms, queries, workers, latency_seed=7):
     network = SimulatedNetwork()
     network.randomize_latencies(sorted(pdms.peers), seed=latency_seed,
                                 low=1.0, high=40.0)
-    executor = DistributedExecutor(pdms, network, runtime=runtime)
+    executor = DistributedExecutor(pdms, network, workers=workers)
     stats = [
         executor.execute(query, "p0", {"max_depth": 40}) for query in queries
     ]
@@ -345,66 +263,56 @@ def _stats_sans_latency(stats):
 
 class TestExecutorParity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_thread_pool_matches_serial(self, workers):
+    def test_modeled_workers_match_serial(self, workers):
         pdms, queries = _executor_workload()
-        serial_stats, serial_net = _run_executor(pdms, queries, SerialRuntime())
-        with ThreadPoolRuntime(workers=workers) as runtime:
-            pooled_stats, pooled_net = _run_executor(pdms, queries, runtime)
-        for serial, pooled in zip(serial_stats, pooled_stats):
-            assert pooled.answers == serial.answers
-            assert _stats_sans_latency(pooled) == _stats_sans_latency(serial)
+        serial_stats, serial_net = _run_executor(pdms, queries, 1)
+        modeled_stats, modeled_net = _run_executor(pdms, queries, workers)
+        for serial, modeled in zip(serial_stats, modeled_stats):
+            assert modeled.answers == serial.answers
+            assert _stats_sans_latency(modeled) == _stats_sans_latency(serial)
             # Overlap can only reduce the modeled latency.
-            assert pooled.latency_ms <= serial.latency_ms + 1e-6
-        assert pooled_net.message_count == serial_net.message_count
-        assert pooled_net.bytes_shipped == serial_net.bytes_shipped
-        assert pooled_net.kind_counts == serial_net.kind_counts
+            assert modeled.latency_ms <= serial.latency_ms + 1e-6
+        assert _log(modeled_net) == _log(serial_net)
+        assert modeled_net.bytes_shipped == serial_net.bytes_shipped
+        assert modeled_net.kind_counts == serial_net.kind_counts
+        if workers == 1:
+            # One worker is the serial sum of the round trips.
+            assert modeled_net.total_latency_ms == serial_net.total_latency_ms
 
     def test_seeded_randomized_parity(self):
         rng = random.Random(99)
         for trial in range(3):
             peers = rng.choice([12, 18, 26])
             pdms, queries = _executor_workload(peers=peers, seed=rng.randint(1, 50))
-            serial_stats, _ = _run_executor(
-                pdms, queries, SerialRuntime(), latency_seed=trial
-            )
-            with ThreadPoolRuntime(workers=4) as runtime:
-                pooled_stats, _ = _run_executor(
-                    pdms, queries, runtime, latency_seed=trial
-                )
-            for serial, pooled in zip(serial_stats, pooled_stats):
-                assert pooled.answers == serial.answers
-                assert _stats_sans_latency(pooled) == _stats_sans_latency(serial)
+            serial_stats, _ = _run_executor(pdms, queries, 1, latency_seed=trial)
+            modeled_stats, _ = _run_executor(pdms, queries, 4, latency_seed=trial)
+            for serial, modeled in zip(serial_stats, modeled_stats):
+                assert modeled.answers == serial.answers
+                assert _stats_sans_latency(modeled) == _stats_sans_latency(serial)
 
     def test_run_to_run_determinism(self):
         pdms, queries = _executor_workload()
         runs = []
         for _ in range(3):
-            with ThreadPoolRuntime(workers=4) as runtime:
-                stats, network = _run_executor(pdms, queries, runtime)
+            stats, network = _run_executor(pdms, queries, 4)
             runs.append(
                 (
                     [frozenset(s.answers) for s in stats],
-                    [_stats_sans_latency(s) for s in stats],
-                    [pytest.approx(s.latency_ms) for s in stats],
+                    [dataclasses.asdict(s) for s in stats],
                     network.kind_counts,
                 )
             )
         assert runs[0] == runs[1] == runs[2]
 
-    def test_process_pool_keeps_serial_fetch_path(self):
-        # Closures over live peers can't pickle; supports_closures=False
-        # must route the executor down the (bitwise identical) serial
-        # path, latency included.
-        pdms, queries = _executor_workload(peers=12)
-        serial_stats, _ = _run_executor(pdms, queries, SerialRuntime())
-        with ProcessPoolRuntime(workers=2) as runtime:
-            pooled_stats, _ = _run_executor(pdms, queries, runtime)
-        for serial, pooled in zip(serial_stats, pooled_stats):
-            assert dataclasses.asdict(pooled) == dataclasses.asdict(serial)
+    def test_worker_count_validation(self):
+        pdms, _ = _executor_workload(peers=6)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="worker count"):
+                DistributedExecutor(pdms, workers=workers)
 
     def test_worker_fault_leaves_no_partial_accounting(self, monkeypatch):
         pdms, queries = _executor_workload(peers=12)
-        serial_stats, _ = _run_executor(pdms, queries, SerialRuntime())
+        serial_stats, _ = _run_executor(pdms, queries, 1)
         real = DistributedExecutor._stored_tuples
 
         def broken(self, predicate):
@@ -412,22 +320,20 @@ class TestExecutorParity:
                 raise RuntimeError("peer p3 is down")
             return real(self, predicate)
 
-        # One path, so the guarantee holds serially too: the fetches
-        # before p3 are not billed when p3 fails.
-        for runtime in (SerialRuntime(), ThreadPoolRuntime(workers=4)):
+        # The fetches before p3 are not billed when p3 fails.
+        for workers in (1, 4):
             network = SimulatedNetwork()
-            with runtime:
-                executor = DistributedExecutor(pdms, network, runtime=runtime)
-                monkeypatch.setattr(DistributedExecutor, "_stored_tuples", broken)
-                with pytest.raises(RuntimeError, match="peer p3 is down"):
-                    executor.execute(queries[0], "p0", {"max_depth": 40})
-                # The failure surfaced before any mutation: the network
-                # saw nothing and no half-filled stats escaped.
-                assert (network.message_count, network.total_latency_ms) == (0, 0.0)
-                # The runtime survives: the same executor completes the
-                # same query once the peer heals, identically to serial.
-                monkeypatch.setattr(DistributedExecutor, "_stored_tuples", real)
-                recovered = executor.execute(queries[0], "p0", {"max_depth": 40})
+            executor = DistributedExecutor(pdms, network, workers=workers)
+            monkeypatch.setattr(DistributedExecutor, "_stored_tuples", broken)
+            with pytest.raises(RuntimeError, match="peer p3 is down"):
+                executor.execute(queries[0], "p0", {"max_depth": 40})
+            # The failure surfaced before any mutation: the network
+            # saw nothing and no half-filled stats escaped.
+            assert (network.message_count, network.total_latency_ms) == (0, 0.0)
+            # The same executor completes the same query once the peer
+            # heals, identically to serial.
+            monkeypatch.setattr(DistributedExecutor, "_stored_tuples", real)
+            recovered = executor.execute(queries[0], "p0", {"max_depth": 40})
             assert recovered.answers == serial_stats[0].answers
 
 
@@ -438,10 +344,15 @@ def _rows(result):
     return [(c.source, c.target, c.score) for c in result]
 
 
-def _run_pipeline(workload, runtime, blocking=True):
-    pipeline = CorpusMatchPipeline(workload.mediated, runtime=runtime)
+def _trained_pipeline(workload, obs=None):
+    pipeline = CorpusMatchPipeline(workload.mediated, obs=obs)
     for schema, mapping in workload.training:
         pipeline.add_training_source(schema, mapping)
+    return pipeline
+
+
+def _run_pipeline(workload, blocking=True):
+    pipeline = _trained_pipeline(workload)
     results = pipeline.match_corpus(workload.corpus, blocking=blocking)
     return {name: _rows(result) for name, result in results.items()}, pipeline
 
@@ -451,52 +362,78 @@ class TestPipelineParity:
     def workload(self):
         return synthetic_matching_workload(count=8, seed=3, domains=3)
 
+    def test_match_corpus_is_match_source_per_schema(self, workload):
+        corpus_rows, corpus_pipeline = _run_pipeline(workload)
+        pipeline = _trained_pipeline(workload)
+        per_source = {
+            name: _rows(pipeline.match_source(schema))
+            for name, schema in workload.corpus.schemas.items()
+        }
+        assert corpus_rows == per_source
+        assert list(corpus_rows) == list(workload.corpus.schemas)
+        assert corpus_pipeline.counters == pipeline.counters
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_thread_pool_matches_serial(self, workload, workers):
-        serial, serial_pipeline = _run_pipeline(workload, SerialRuntime())
-        with ThreadPoolRuntime(workers=workers) as runtime:
-            pooled, pooled_pipeline = _run_pipeline(workload, runtime)
+        # The pipeline runs no threads of its own, but a caller may match
+        # sources from a pool of its own threads: the counters lock keeps
+        # the totals exact and the rows equal the serial match_corpus.
+        serial, serial_pipeline = _run_pipeline(workload)
+        pipeline = _trained_pipeline(workload)
+        names = list(workload.corpus.schemas)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = pool.map(
+                pipeline.match_source,
+                [workload.corpus.schemas[name] for name in names],
+            )
+            pooled = {name: _rows(result) for name, result in zip(names, results)}
         assert pooled == serial
-        assert pooled_pipeline.counters == serial_pipeline.counters
-
-    def test_process_pool_matches_serial(self, workload):
-        # Sources stay serial (closures), but per-learner scoring ships
-        # picklable module-level work units to the processes.
-        serial, _ = _run_pipeline(workload, SerialRuntime())
-        with ProcessPoolRuntime(workers=2) as runtime:
-            pooled, _ = _run_pipeline(workload, runtime)
-        assert pooled == serial
+        assert pipeline.counters == serial_pipeline.counters
 
     def test_blocking_off_parity(self, workload):
-        serial, _ = _run_pipeline(workload, SerialRuntime(), blocking=False)
-        with ThreadPoolRuntime(workers=4) as runtime:
-            pooled, _ = _run_pipeline(workload, runtime, blocking=False)
-        assert pooled == serial
+        # Unblocked, match_corpus is bitwise the seed per-sample path.
+        unblocked, pipeline = _run_pipeline(workload, blocking=False)
+        for name, schema in workload.corpus.schemas.items():
+            assert unblocked[name] == _rows(pipeline.match_source_brute_force(schema))
 
     def test_run_to_run_determinism(self, workload):
         runs = []
         for _ in range(3):
-            with ThreadPoolRuntime(workers=4) as runtime:
-                pooled, pipeline = _run_pipeline(workload, runtime)
-            runs.append((pooled, pipeline.counters))
+            rows, pipeline = _run_pipeline(workload)
+            runs.append((rows, pipeline.counters))
         assert runs[0] == runs[1] == runs[2]
 
-    @pytest.mark.parametrize(
-        "runtime_class", [SerialRuntime, ThreadPoolRuntime, ProcessPoolRuntime]
-    )
-    def test_empty_corpus_needs_no_training(self, workload, runtime_class):
-        with runtime_class() as runtime:
-            pipeline = CorpusMatchPipeline(workload.mediated, runtime=runtime)
-            assert pipeline.match_corpus(Corpus()) == {}
-            # A non-empty one still refuses, with the first source's error.
-            with pytest.raises(ValueError, match="no training sources"):
-                pipeline.match_corpus(workload.corpus)
+    def test_empty_corpus_needs_no_training(self, workload):
+        pipeline = CorpusMatchPipeline(workload.mediated)
+        assert pipeline.match_corpus(Corpus()) == {}
+        # A non-empty one still refuses, with the first source's error.
+        with pytest.raises(ValueError, match="no training sources"):
+            pipeline.match_corpus(workload.corpus)
+
+    def test_meta_learner_books_only_on_its_own_observability(self, workload):
+        # MetaLearner(obs=...) used to score through a SerialRuntime on
+        # the process default, booking runtime.tasks there (one per
+        # learner) and none on its own registry.
+        samples, labels = [], []
+        for schema, mapping in workload.training:
+            for sample in samples_of(schema):
+                if sample.path in mapping:
+                    samples.append(sample)
+                    labels.append(mapping[sample.path])
+        default = _obs.default().metrics
+        before = default.snapshot()
+        isolated = _obs.Observability()
+        meta = MetaLearner(default_learners(), obs=isolated)
+        meta.fit(samples, labels)
+        meta.predict_batch(samples[:10])
+        assert default.snapshot() == before
+        assert isolated.metrics.histogram("match.learner.NameLearner.ms").count == 1
 
 
 # -- view serving parity ------------------------------------------------------
 
 
-def _run_view_stream(runtime, peers=14, seed=5, steps=8, subscribers=6,
+def _run_view_stream(workers, peers=14, seed=5, steps=8, subscribers=6,
                      latency_seed=9):
     pdms = random_tree_pdms(peers, seed=seed, courses=3,
                             dataless_peers=peers // 5)
@@ -505,7 +442,7 @@ def _run_view_stream(runtime, peers=14, seed=5, steps=8, subscribers=6,
     network = SimulatedNetwork()
     network.randomize_latencies(sorted(pdms.peers), seed=latency_seed,
                                 low=1.0, high=40.0)
-    executor = DistributedExecutor(pdms, network, runtime=runtime)
+    executor = DistributedExecutor(pdms, network, workers=workers)
     server = ViewServer(executor)
     subs = sorted(pdms.peers)[:subscribers]
     for peer in subs:
@@ -524,38 +461,35 @@ def _run_view_stream(runtime, peers=14, seed=5, steps=8, subscribers=6,
 
 class TestViewServerParity:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_thread_pool_matches_serial(self, workers):
-        serial_answers, serial_server, serial_net = _run_view_stream(
-            SerialRuntime()
-        )
-        with ThreadPoolRuntime(workers=workers) as runtime:
-            pooled_answers, pooled_server, pooled_net = _run_view_stream(runtime)
-        assert pooled_answers == serial_answers
-        assert pooled_net.message_count == serial_net.message_count
-        assert pooled_net.bytes_shipped == serial_net.bytes_shipped
-        assert pooled_net.kind_counts == serial_net.kind_counts
+    def test_modeled_workers_match_serial(self, workers):
+        serial_answers, serial_server, serial_net = _run_view_stream(1)
+        modeled_answers, modeled_server, modeled_net = _run_view_stream(workers)
+        assert modeled_answers == serial_answers
+        assert _log(modeled_net) == _log(serial_net)
+        assert modeled_net.bytes_shipped == serial_net.bytes_shipped
+        assert modeled_net.kind_counts == serial_net.kind_counts
         serial_stats = dataclasses.asdict(serial_server.stats)
-        pooled_stats = dataclasses.asdict(pooled_server.stats)
+        modeled_stats = dataclasses.asdict(modeled_server.stats)
         serial_latency = serial_stats.pop("latency_ms")
-        pooled_latency = pooled_stats.pop("latency_ms")
-        assert pooled_stats == serial_stats
+        modeled_latency = modeled_stats.pop("latency_ms")
+        assert modeled_stats == serial_stats
         # Overlapped propagation can only reduce the modeled latency.
-        assert pooled_latency <= serial_latency + 1e-6
+        assert modeled_latency <= serial_latency + 1e-6
+        if workers == 1:
+            assert modeled_net.total_latency_ms == serial_net.total_latency_ms
 
     def test_seeded_randomized_parity(self):
         rng = random.Random(17)
         for _ in range(2):
             seed = rng.randint(1, 60)
-            serial_answers, _, _ = _run_view_stream(SerialRuntime(), seed=seed)
-            with ThreadPoolRuntime(workers=4) as runtime:
-                pooled_answers, _, _ = _run_view_stream(runtime, seed=seed)
-            assert pooled_answers == serial_answers
+            serial_answers, _, _ = _run_view_stream(1, seed=seed)
+            modeled_answers, _, _ = _run_view_stream(4, seed=seed)
+            assert modeled_answers == serial_answers
 
     def test_run_to_run_determinism(self):
         runs = []
         for _ in range(3):
-            with ThreadPoolRuntime(workers=4) as runtime:
-                answers, server, network = _run_view_stream(runtime)
+            answers, server, network = _run_view_stream(4)
             runs.append(
                 (answers, dataclasses.asdict(server.stats), network.kind_counts)
             )
@@ -714,93 +648,73 @@ class TestObsThreadSafety:
         assert cache.hits + cache.misses == self.THREADS * (self.ITERATIONS // 2)
 
 
-# -- the runtime is pluggable end to end --------------------------------------
+# -- the sites share one runtime ----------------------------------------------
 
 
 class TestPluggability:
-    def test_base_contract_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ExecutionRuntime().map(_square, [1])
-
     def test_sites_default_to_serial(self):
         pdms, _ = _executor_workload(peers=6)
         executor = DistributedExecutor(pdms)
         assert isinstance(executor.runtime, SerialRuntime)
+        assert executor.workers == 1
         server = ViewServer(executor)
         assert server.runtime is executor.runtime
+        assert server.workers == 1
 
     def test_view_server_inherits_executor_runtime(self):
         pdms, _ = _executor_workload(peers=6)
-        with ThreadPoolRuntime(workers=2) as runtime:
-            executor = DistributedExecutor(pdms, runtime=runtime)
-            server = ViewServer(executor)
-            assert server.runtime is runtime
+        executor = DistributedExecutor(pdms, workers=2)
+        server = ViewServer(executor)
+        assert server.runtime is executor.runtime
+        assert server.workers == 2
 
 
-# -- trace context propagation (ISSUE 10) -------------------------------------
+# -- one trace tree per request -----------------------------------------------
 
 
 class TestTracePropagation:
-    """Worker spans re-parent under the caller's span — one tree per
-    fan-out, the orphan-root wart the runtime pools used to have."""
+    """A fan-out stays inside its caller's tree, whatever the modeled
+    worker count."""
 
-    def test_parallel_execute_yields_one_tree_at_four_workers(self):
+    def test_execute_yields_one_tree_per_query(self):
         obs = _obs.Observability(tracing=True)
         pdms, queries = _executor_workload()
         pdms.obs = obs
         network = SimulatedNetwork(obs=obs)
-        with ThreadPoolRuntime(workers=4, obs=obs) as runtime:
-            executor = DistributedExecutor(pdms, network, obs=obs,
-                                           runtime=runtime)
-            for query in queries:
-                executor.execute(query, "p0", {"max_depth": 40})
+        executor = DistributedExecutor(pdms, network, obs=obs, workers=4)
+        for query in queries:
+            executor.execute(query, "p0", {"max_depth": 40})
         roots = obs.tracer.root_list()
-        # One executed query, one tree — the regression this PR fixes.
         assert len(roots) == len(queries)
         for root in roots:
             assert root.name == "pdms.execute"
-            names = root.names()
-            assert "execute.fetch_batch" in names
-            assert "runtime.task" in names
-            # Per-peer fetch spans live inside the same tree.
-            assert names.count("execute.fetch") >= 2
             batch = root.find("execute.fetch_batch")
-            fetches = [
-                node for node in batch.children
-                for _ in [node]
-                if node.find("execute.fetch") is not None
-            ]
-            assert fetches, "fetch spans re-parented under the batch span"
+            assert batch.attrs["workers"] == 4
+            # Per-peer fetch spans nest under the batch span.
+            fetches = [c for c in batch.children if c.name == "execute.fetch"]
+            assert len(fetches) >= 2
 
-    def test_parallel_trees_match_serial_shape(self):
+    def test_tree_shape_does_not_depend_on_workers(self):
         pdms, queries = _executor_workload()
 
-        def names_under(runtime_factory, obs):
-            network = SimulatedNetwork(obs=obs)
+        def names_under(workers):
+            obs = _obs.Observability(tracing=True)
             pdms.obs = obs
-            with runtime_factory(obs) as runtime:
-                executor = DistributedExecutor(pdms, network, obs=obs,
-                                               runtime=runtime)
-                executor.execute(queries[0], "p0", {"max_depth": 40})
-            return sorted(obs.tracer.last_root().names())
+            executor = DistributedExecutor(
+                pdms, SimulatedNetwork(obs=obs), obs=obs, workers=workers
+            )
+            executor.execute(queries[0], "p0", {"max_depth": 40})
+            return obs.tracer.last_root().names()
 
-        serial_obs = _obs.Observability(tracing=True)
-        serial = names_under(lambda o: SerialRuntime(obs=o), serial_obs)
-        pooled_obs = _obs.Observability(tracing=True)
-        pooled = names_under(lambda o: ThreadPoolRuntime(workers=4, obs=o),
-                             pooled_obs)
-        # One path, one shape: only the pool's runtime.task hops differ.
-        assert [n for n in pooled if n != "runtime.task"] == serial
+        assert names_under(4) == names_under(1)
 
     def test_network_messages_stamped_with_trace_ids(self):
         obs = _obs.Observability(tracing=True)
         pdms, queries = _executor_workload(peers=8)
         pdms.obs = obs
         network = SimulatedNetwork(obs=obs)
-        with ThreadPoolRuntime(workers=4, obs=obs) as runtime:
-            executor = DistributedExecutor(pdms, network, obs=obs,
-                                           runtime=runtime)
-            executor.execute(queries[0], "p0", {"max_depth": 40})
+        executor = DistributedExecutor(pdms, network, obs=obs, workers=4)
+        executor.execute(queries[0], "p0", {"max_depth": 40})
         root = obs.tracer.last_root()
         assert network.messages, "workload sends traffic"
         assert {m.trace_id for m in network.messages} == {root.trace_id}
@@ -815,16 +729,12 @@ class TestTracePropagation:
         assert all(m.trace_id is None and m.span_id is None
                    for m in network.messages)
 
-    def test_match_corpus_is_one_tree_under_thread_pool(self):
+    def test_match_corpus_is_one_tree(self):
         obs = _obs.Observability(tracing=True)
         workload = synthetic_matching_workload(count=6, seed=11, domains=3)
-        with ThreadPoolRuntime(workers=4, obs=obs) as runtime:
-            pipeline = CorpusMatchPipeline(workload.mediated, obs=obs,
-                                           runtime=runtime)
-            for schema, mapping in workload.training:
-                pipeline.add_training_source(schema, mapping)
-            obs.tracer.clear()  # training traces aren't under test
-            pipeline.match_corpus(workload.corpus)
+        pipeline = _trained_pipeline(workload, obs=obs)
+        obs.tracer.clear()  # training traces aren't under test
+        pipeline.match_corpus(workload.corpus)
         roots = obs.tracer.root_list()
         assert len(roots) == 1
         names = roots[0].names()
@@ -836,54 +746,25 @@ class TestTracePropagation:
         pdms = random_tree_pdms(20, seed=5, courses=3, dataless_peers=4)
         pdms.obs = obs
         network = SimulatedNetwork(obs=obs)
-        with ThreadPoolRuntime(workers=4, obs=obs) as runtime:
-            executor = DistributedExecutor(pdms, network, obs=obs,
-                                           runtime=runtime)
-            server = ViewServer(executor,
-                                reformulation_options={"max_depth": 40})
-            golds = pdms.generator_info["golds"]
-            data_peers = sorted(
-                name for name, peer in pdms.peers.items() if peer.data
-            )[:4]
-            for name in data_peers:
-                server.register(
-                    name,
-                    f"q(?t) :- {name}.{golds[name]['course']}"
-                    "(?c, ?t, ?n, ?w, ?l, ?en, ?d)",
-                )
-            obs.tracer.clear()
-            for owner, gram in update_stream(pdms, 3, seed=6,
-                                             inserts_per_relation=2):
-                pdms.apply_updategram(owner, gram)
+        executor = DistributedExecutor(pdms, network, obs=obs, workers=4)
+        server = ViewServer(executor, reformulation_options={"max_depth": 40})
+        golds = pdms.generator_info["golds"]
+        data_peers = sorted(
+            name for name, peer in pdms.peers.items() if peer.data
+        )[:4]
+        for name in data_peers:
+            server.register(
+                name,
+                f"q(?t) :- {name}.{golds[name]['course']}"
+                "(?c, ?t, ?n, ?w, ?l, ?en, ?d)",
+            )
+        obs.tracer.clear()
+        for owner, gram in update_stream(pdms, 3, seed=6,
+                                         inserts_per_relation=2):
+            pdms.apply_updategram(owner, gram)
         roots = obs.tracer.root_list()
         # Exactly one tree per updategram: propagation and maintenance
-        # worker spans re-parent instead of becoming their own roots.
+        # spans nest under it.
         assert len(roots) == 3
         for root in roots:
             assert root.name == "serving.updategram"
-
-    def test_process_pool_context_pickles_to_wire_form(self):
-        obs = _obs.Observability(tracing=True)
-        with ProcessPoolRuntime(workers=2, obs=obs) as runtime:
-            with obs.tracer.span("outer"):
-                assert runtime.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-        roots = obs.tracer.root_list()
-        assert len(roots) == 1 and roots[0].name == "outer"
-
-    def test_nested_map_inherits_context_inline(self):
-        obs = _obs.Observability(tracing=True)
-        with ThreadPoolRuntime(workers=2, obs=obs) as runtime:
-
-            def outer_task(index):
-                # Nested fan-out degrades inline on the worker thread;
-                # its spans nest under the worker's runtime.task span.
-                with obs.tracer.span(f"outer.{index}"):
-                    runtime.map(_square, [index, index + 1])
-                return index
-
-            with obs.tracer.span("fanout"):
-                runtime.map(outer_task, [0, 1])
-        root = obs.tracer.last_root()
-        names = root.names()
-        assert names.count("outer.0") == 1 and names.count("outer.1") == 1
-        assert len(obs.tracer.root_list()) == 1
