@@ -6,7 +6,8 @@ recomputed on a Piazza node, the query optimizer decides which
 updategrams to use in a cost-based fashion."
 
 The harness maintains a join view over growing base data and applies
-small updategrams.  Work = atom-vs-fact match attempts.  Expected
+small updategrams.  Work = facts probed: the hashed facts each pending
+row of each join step tried (:meth:`IncrementalView.work`).  Expected
 shape: incremental cost scales with the delta, recompute with the base;
 the crossover sits where the delta approaches the base size.
 """
@@ -57,7 +58,7 @@ def recompute_work(base_size: int, delta_size: int) -> int:
 class TestC6Updategrams:
     def test_incremental_vs_recompute(self, benchmark):
         table = ResultTable(
-            "C6: view-maintenance work (match attempts), updategram vs recompute",
+            "C6: view-maintenance work (facts probed), updategram vs recompute",
             ["base size", "delta size", "incremental", "recompute", "ratio"],
         )
         base_size = 400

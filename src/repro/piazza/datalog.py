@@ -13,28 +13,22 @@ same rule set drives both:
 Terms are plain Python values (constants), :class:`Var` or :class:`Func`
 (Skolem functions standing for unknown existential values).
 
-Evaluation comes in two flavours with a parity contract between them
-(``tests/test_pdms_scale.py``):
-
-* :func:`evaluate_query` — **hash-join** evaluation: per body atom, a
-  hash table over the facts keyed on the argument positions already
-  bound, probed once per pending substitution.  This is the scale path;
-  a shared table cache (:func:`evaluate_union`) lets a UCQ's rewritings
-  reuse each other's tables.
-* :func:`evaluate_query_brute_force` — the original nested-loop join,
-  kept as the oracle the hash path is proven identical to.
-
-Facts are always ground (stored tuples, chase-derived tuples whose
-groundness is checked before insertion, or frozen canonical databases),
-which is what makes position-level hash keys sound.
+One evaluator runs every production join: a :class:`Plan`, compiled
+once per CQ or rule object, joins the body over positional rows, hashing
+each relation on the positions already bound.  Facts are always ground
+(stored, chase-derived or frozen), which is what makes position-level
+hash keys sound.  The nested loop (:func:`evaluate_query_brute_force`)
+is kept only as its oracle (parity: ``tests/test_pdms_scale.py``).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 Instance = dict[str, set[tuple]]
 
@@ -253,6 +247,11 @@ class ConjunctiveQuery:
         """Predicate names used in the body."""
         return {atom.predicate for atom in self.body}
 
+    @cached_property
+    def plan(self) -> "Plan":
+        """The query compiled for evaluation, once per query object."""
+        return Plan.compile(self.head, self.body)
+
     def rename(self, suffix: str) -> "ConjunctiveQuery":
         """Fresh-rename all variables with ``suffix``."""
         mapping: Subst = {var: Var(f"{var.name}#{suffix}") for var in self.variables()}
@@ -310,6 +309,11 @@ class Rule:
         """The rule compiled for expansion, once per rule object."""
         return RuleTemplate.compile(self)
 
+    @cached_property
+    def plan(self) -> "Plan":
+        """The rule compiled for the chase, once per rule object."""
+        return Plan.compile(self.head, self.body)
+
     def __repr__(self) -> str:
         return f"{self.head!r} <- {', '.join(map(repr, self.body))}"
 
@@ -362,169 +366,205 @@ class RuleTemplate:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _match_fact(atom: Atom, fact: tuple, subst: Subst) -> Subst | None:
-    """Unify an atom against one ground fact tuple."""
-    if len(atom.args) != len(fact):
-        return None
-    extended = dict(subst)
-    for arg, value in zip(atom.args, fact):
-        if not _unify_into(arg, value, extended):
-            return None
-    return extended
+def _build(template, cells):
+    """Instantiate a template (a cell index or a Skolem ``(name,
+    templates)``) over filled cells."""
+    if template.__class__ is int:
+        return cells[template]
+    name, args = template
+    return Func(name, tuple(_build(arg, cells) for arg in args))
 
 
-def _eval_body(
-    body: tuple, instance: Instance, subst: Subst, stats: dict | None = None
-) -> Iterator[Subst]:
-    """All substitutions satisfying ``body`` over ``instance``.
+_UNBOUND = object()
 
-    This is the original nested-loop join, kept as the brute-force
-    oracle for the hash-join path (and still used directly by the
-    incremental-maintenance layer, whose delta relations are tiny).
 
-    ``stats`` (optional) accumulates ``match_attempts`` — the number of
-    atom-vs-fact unification attempts, the work metric reported by the
-    incremental-maintenance and execution benchmarks.
+def _match(template, value, cells: list) -> bool:
+    """Match a template against a ground value, filling its empty cells."""
+    if template.__class__ is int:
+        if cells[template] is _UNBOUND:
+            cells[template] = value
+            return True
+        return cells[template] == value
+    name, args = template
+    return (
+        value.__class__ is Func
+        and value.name == name
+        and len(value.args) == len(args)
+        and all(map(_match, args, value.args, itertools.repeat(cells)))
+    )
+
+
+def _unwrap(values: tuple) -> tuple:
+    """``values`` with ``Const`` unwrapped at any depth, as unification sees them."""
+    if {Const, Func}.isdisjoint(map(type, values)):
+        return values
+    return tuple(apply_subst(value, {}) for value in values)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A body compiled once into a left-deep join over positional rows.
+
+    A row is ``cells`` (the constants), then each joined fact and the
+    cells its Skolem terms bound; a variable lives in the cell that first
+    bound it.  Atoms join most-keyed first (ties to body order; ``first``
+    forces the opening atom).  A step is ``(body position, arity, key
+    positions, probe cells, loose, extra)``: the atom's facts are hashed
+    on the key positions and probed with the row's probe cells, then each
+    ``(position, template)`` in ``loose`` (a repeated variable or a Skolem
+    term) is matched, filling ``extra`` new cells.  ``head`` holds
+    templates, or ``None`` if the body leaves a head variable unbound.
     """
+
+    predicates: tuple[str, ...]
+    cells: tuple
+    steps: tuple[tuple, ...]
+    head: tuple | None
+
+    @classmethod
+    def compile(cls, head: Atom, body: tuple, first: int | None = None) -> "Plan":
+        """Order the atoms and lay out their cells."""
+        atoms = [_unwrap(atom.args) for atom in body]
+        constants: dict = {}
+
+        def collect(term) -> bool:  # registers the constants; is ``term`` one?
+            if term.__class__ is Var:
+                return False
+            if term.__class__ is Func and not is_ground(term):
+                for arg in term.args:
+                    collect(arg)
+                return False
+            constants.setdefault((term.__class__, term), len(constants))
+            return True
+
+        for arg in _unwrap(head.args):
+            collect(arg)
+        ground = [sum(map(collect, args)) for args in atoms]
+        names = [[arg.name for arg in args if arg.__class__ is Var] for args in atoms]
+        slots: dict[str, int] = {}  # variable name -> cell
+        width = len(constants)
+
+        def template(term):
+            nonlocal width
+            if term.__class__ is Var:
+                if term.name not in slots:
+                    slots[term.name] = width
+                    width += 1
+                return slots[term.name]
+            if term.__class__ is Func and not is_ground(term):
+                return (term.name, tuple(map(template, term.args)))
+            return constants[(term.__class__, term)]
+
+        steps = []
+        remaining = list(range(len(atoms)))
+        while remaining:
+            choice = first if first is not None and not steps else max(
+                remaining, key=lambda j: ground[j] + sum(map(slots.__contains__, names[j]))
+            )
+            remaining.remove(choice)
+            args = atoms[choice]
+            key, probe, loose = [], [], []
+            for position, arg in enumerate(args):
+                if arg.__class__ is Var:
+                    cell = slots.setdefault(arg.name, width + position)
+                    if cell == width + position:
+                        continue  # a first occurrence: the fact binds it
+                    bound = cell < width  # else repeated within this atom
+                else:
+                    bound = is_ground(arg)
+                if bound:
+                    key.append(position)
+                    probe.append(template(arg))
+                else:
+                    loose.append(position)
+            width += len(args)
+            fact_end = width
+            loose = tuple((position, template(args[position])) for position in loose)
+            steps.append((choice, len(args), tuple(key), tuple(probe), loose, width - fact_end))
+        body_width = width
+        head = tuple(map(template, _unwrap(head.args)))
+        return cls(
+            tuple(atom.predicate for atom in body),
+            tuple(value for _, value in constants),
+            tuple(steps),
+            head if width == body_width else None,
+        )
+
+    def sources(self, instance: Instance) -> list:
+        """Each body atom's facts in ``instance``."""
+        return [instance.get(predicate, ()) for predicate in self.predicates]
+
+    def run(self, sources: list, tables: dict) -> tuple[list[tuple], int]:
+        """Head tuples over ``sources`` (one fact collection per body
+        atom), one per derivation, and the number of facts probed.
+
+        ``tables`` caches the hashed facts by the identity of their
+        collection and pins each collection, so one cache may serve many
+        plans while the facts it has seen stay unchanged.
+        """
+        rows = [self.cells]
+        probed = 0
+        for position, arity, key, probe, loose, extra in self.steps:
+            facts = sources[position]
+            if (id(facts), arity, key) not in tables:
+                matching = [_unwrap(fact) for fact in facts if len(fact) == arity]
+                if key:
+                    hashed, fact_key = defaultdict(list), itemgetter(*key)
+                    for fact in matching:
+                        hashed[fact_key(fact)].append(fact)
+                    matching = hashed
+                tables[(id(facts), arity, key)] = (facts, matching)
+            table = tables[(id(facts), arity, key)][1]
+            row_key = itemgetter(*probe) if probe else None
+            pad = (_UNBOUND,) * extra
+            widened: list[tuple] = []
+            for row in rows:
+                bucket = table.get(row_key(row), ()) if row_key else table
+                probed += len(bucket)
+                if not loose:
+                    widened += [row + fact for fact in bucket]
+                    continue
+                for fact in bucket:
+                    cells = [*row, *fact, *pad]
+                    if all(_match(t, fact[p], cells) for p, t in loose):
+                        widened.append(tuple(cells))
+            rows = widened
+            if not rows:
+                break
+        head = self.head
+        if head is None:
+            return [], probed
+        if len(head) == 1 and head[0].__class__ is int:
+            return [(row[head[0]],) for row in rows], probed
+        if len(head) > 1 and all(t.__class__ is int for t in head):
+            return list(map(itemgetter(*head), rows)), probed
+        return [tuple([_build(t, row) for t in head]) for row in rows], probed
+
+
+def evaluate_query(query: ConjunctiveQuery, instance: Instance) -> set[tuple]:
+    """All head tuples of ``query`` over ``instance`` (may contain Skolems)."""
+    return evaluate_union((query,), instance)
+
+
+def _eval_body(body: tuple, instance: Instance, subst: Subst) -> Iterator[Subst]:
+    """All substitutions satisfying ``body`` over ``instance``: the
+    nested-loop join, kept as the oracle the compiled :class:`Plan` is
+    proven identical to (answers and derivation counts)."""
     if not body:
         yield subst
         return
     # Most-bound-first selection keeps intermediate results small.
-    def boundness(atom: Atom) -> int:
-        resolved = apply_subst_atom(atom, subst)
-        return sum(1 for arg in resolved.args if is_ground(arg))
-
-    index = max(range(len(body)), key=lambda i: boundness(body[i]))
+    index = max(range(len(body)), key=lambda i: sum(
+        map(is_ground, apply_subst_atom(body[i], subst).args)
+    ))
     atom = body[index]
     rest = body[:index] + body[index + 1 :]
-    facts = instance.get(atom.predicate, ())
-    if stats is not None:
-        stats["match_attempts"] = stats.get("match_attempts", 0) + len(facts)
-    for fact in facts:
-        extended = _match_fact(atom, fact, subst)
-        if extended is not None:
-            yield from _eval_body(rest, instance, extended, stats)
-
-
-def _term_variables(term: Term) -> set[Var]:
-    """All variables occurring in a term (Consts stripped, Funcs walked)."""
-    term = _unconst(term)
-    if isinstance(term, Var):
-        return {term}
-    if isinstance(term, Func):
-        found: set[Var] = set()
-        for arg in term.args:
-            found |= _term_variables(arg)
-        return found
-    return set()
-
-
-def _strip_const(term: Term) -> Term:
-    """Deeply unwrap ``Const`` so hash keys match unification semantics.
-
-    Probe keys go through :func:`apply_subst`, which unconsts terms (and
-    recurses into ``Func`` args); fact-side keys must normalize the same
-    way or ``Const``-wrapped stored values would silently miss their
-    bucket despite unifying in the brute-force path.
-    """
-    term = _unconst(term)
-    if isinstance(term, Func):
-        return Func(term.name, tuple(_strip_const(arg) for arg in term.args))
-    return term
-
-
-# A shared hash-table cache for one instance: (predicate, key positions)
-# -> fact hash table.  Sound only while the instance is unmodified.
-JoinTableCache = dict
-
-
-def _eval_body_hash(
-    body: tuple,
-    instance: Instance,
-    subst: Subst,
-    table_cache: JoinTableCache | None = None,
-) -> list[Subst]:
-    """Hash-join evaluation of ``body`` over ``instance``.
-
-    Atoms are joined one at a time (greedily most-bound-first, ties to
-    the smaller relation); for each atom a hash table over its facts is
-    built keyed on the positions whose variables are already bound, and
-    each pending substitution probes exactly its matching bucket instead
-    of scanning every fact.  Because facts are ground, joining an atom
-    grounds all of its variables, so the bound-variable set is uniform
-    across pending substitutions and position-level keys are sound.
-
-    ``table_cache`` shares built tables across calls over the *same,
-    unmodified* instance — the batched-union trick in
-    :func:`evaluate_union`.  (The incremental-maintenance layer's
-    ``match_attempts`` work metric stays on :func:`_eval_body`, whose
-    delta relations are too small to benefit from hashing.)
-    """
-    if not body:
-        return [subst]
-    atoms = [apply_subst_atom(atom, subst) for atom in body] if subst else list(body)
-    atom_vars = [atom.variables() for atom in atoms]
-    substs: list[Subst] = [subst]
-    bound: set[Var] = set()
-    remaining = list(range(len(atoms)))
-    while remaining and substs:
-        # Most bound positions first; ties broken by relation size.
-        def rank(position: int) -> tuple:
-            atom = atoms[position]
-            bound_positions = sum(
-                1 for arg in atom.args if _term_variables(arg) <= bound
-            )
-            return (bound_positions, -len(instance.get(atom.predicate, ())))
-
-        choice = max(remaining, key=rank)
-        remaining.remove(choice)
-        atom = atoms[choice]
-        facts = instance.get(atom.predicate, ())
-        key_positions = tuple(
-            i for i, arg in enumerate(atom.args) if _term_variables(arg) <= bound
-        )
-        cache_key = (atom.predicate, key_positions, len(atom.args))
-        table = table_cache.get(cache_key) if table_cache is not None else None
-        if table is None:
-            table = {}
-            arity = len(atom.args)
-            for fact in facts:
-                if len(fact) != arity:
-                    continue
-                table.setdefault(
-                    tuple(_strip_const(fact[i]) for i in key_positions), []
-                ).append(fact)
-            if table_cache is not None:
-                table_cache[cache_key] = table
-        next_substs: list[Subst] = []
-        for pending in substs:
-            key = tuple(apply_subst(atom.args[i], pending) for i in key_positions)
-            bucket = table.get(key, ())
-            for fact in bucket:
-                extended = _match_fact(atom, fact, pending)
-                if extended is not None:
-                    next_substs.append(extended)
-        substs = next_substs
-        bound |= atom_vars[choice]
-    return substs
-
-
-def evaluate_query(
-    query: ConjunctiveQuery,
-    instance: Instance,
-    table_cache: JoinTableCache | None = None,
-) -> set[tuple]:
-    """All head tuples of ``query`` over ``instance`` (may contain Skolems).
-
-    Hash-join evaluation; answers are identical to
-    :func:`evaluate_query_brute_force` (the parity suite asserts it).
-    """
-    results: set[tuple] = set()
-    for subst in _eval_body_hash(query.body, instance, {}, table_cache=table_cache):
-        head = apply_subst_atom(query.head, subst)
-        if all(is_ground(arg) for arg in head.args):
-            results.add(head.args)
-    return results
+    for fact in instance.get(atom.predicate, ()):
+        extended = dict(subst)
+        if len(fact) == len(atom.args) and all(
+            map(_unify_into, atom.args, fact, itertools.repeat(extended))
+        ):
+            yield from _eval_body(rest, instance, extended)
 
 
 def evaluate_query_brute_force(query: ConjunctiveQuery, instance: Instance) -> set[tuple]:
@@ -538,17 +578,12 @@ def evaluate_query_brute_force(query: ConjunctiveQuery, instance: Instance) -> s
 
 
 def evaluate_union(queries: Iterable[ConjunctiveQuery], instance: Instance) -> set[tuple]:
-    """Union of the answers of several conjunctive queries.
-
-    Batched: all member queries share one hash-table cache, so a UCQ
-    whose rewritings touch the same stored relations (the common case
-    after reformulation) builds each join table once, not once per
-    member.
-    """
+    """Union of the answers of several conjunctive queries; the members
+    share hashed facts, so a relation is hashed once per key."""
     results: set[tuple] = set()
-    table_cache: JoinTableCache = {}
+    tables: dict = {}
     for query in queries:
-        results |= evaluate_query(query, instance, table_cache=table_cache)
+        results.update(query.plan.run(query.plan.sources(instance), tables)[0])
     return results
 
 
@@ -556,10 +591,7 @@ def evaluate_union_brute_force(
     queries: Iterable[ConjunctiveQuery], instance: Instance
 ) -> set[tuple]:
     """Nested-loop union evaluation (the pre-scale-layer behaviour)."""
-    results: set[tuple] = set()
-    for query in queries:
-        results |= evaluate_query_brute_force(query, instance)
-    return results
+    return set().union(*(evaluate_query_brute_force(query, instance) for query in queries))
 
 
 # -- chase / certain answers -----------------------------------------------------
@@ -581,17 +613,14 @@ def chase(
     for _round in range(max_rounds):
         new_facts: list[tuple[str, tuple]] = []
         # The instance is frozen within a round, so every rule shares
-        # the round's join tables.
-        table_cache: JoinTableCache = {}
+        # the round's hashed facts.
+        tables: dict = {}
         for rule in rules:
-            for subst in _eval_body_hash(rule.body, chased, {}, table_cache=table_cache):
-                head = apply_subst_atom(rule.head, subst)
-                if not all(is_ground(arg) for arg in head.args):
-                    continue
-                if any(term_depth(arg) > max_skolem_depth for arg in head.args):
-                    continue
-                if head.args not in chased.get(head.predicate, set()):
-                    new_facts.append((head.predicate, head.args))
+            known = chased.get(rule.head.predicate, set())
+            for fact in rule.plan.run(rule.plan.sources(chased), tables)[0]:
+                too_deep = any(term_depth(arg) > max_skolem_depth for arg in fact)
+                if not too_deep and fact not in known:
+                    new_facts.append((rule.head.predicate, fact))
         if not new_facts:
             break
         for predicate, fact in new_facts:
@@ -619,40 +648,22 @@ def certain_answers(
 
 def freeze(query: ConjunctiveQuery) -> tuple[Instance, tuple]:
     """Canonical database of a query: variables become fresh constants."""
-    frozen_terms: dict[Var, object] = {}
-
-    def freeze_term(term: Term):
-        term = _unconst(term)
-        if isinstance(term, Var):
-            if term not in frozen_terms:
-                frozen_terms[term] = Func("frozen", (term.name,))
-            return frozen_terms[term]
-        if isinstance(term, Func):
-            return Func(term.name, tuple(freeze_term(arg) for arg in term.args))
-        return term
-
+    frozen: Subst = {var: Func("frozen", (var.name,)) for var in query.variables()}
     canonical_db: Instance = {}
     for atom in query.body:
-        canonical_db.setdefault(atom.predicate, set()).add(
-            tuple(freeze_term(arg) for arg in atom.args)
-        )
-    frozen_head = tuple(freeze_term(arg) for arg in query.head.args)
-    return canonical_db, frozen_head
+        canonical_db.setdefault(atom.predicate, set()).add(apply_subst_atom(atom, frozen).args)
+    return canonical_db, apply_subst_atom(query.head, frozen).args
 
 
 def is_contained_in(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """Classic CQ containment test: ``q1 ⊆ q2`` iff the frozen head of
     ``q1`` is among ``q2``'s answers on ``q1``'s canonical database."""
-    if len(q1.head.args) != len(q2.head.args):
-        return False
     canonical_db, frozen_head = freeze(q1)
     return frozen_head in evaluate_query(q2, canonical_db)
 
 
 def is_contained_in_brute_force(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     """Containment via the nested-loop evaluator (the pre-scale path)."""
-    if len(q1.head.args) != len(q2.head.args):
-        return False
     canonical_db, frozen_head = freeze(q1)
     return frozen_head in evaluate_query_brute_force(q2, canonical_db)
 
@@ -701,23 +712,7 @@ def minimize_union(queries: list[ConjunctiveQuery]) -> list[ConjunctiveQuery]:
         candidate_cache[predicates] = positions
         return positions
 
-    kept: list[ConjunctiveQuery] = []
-    for i, query in enumerate(queries):
-        redundant = False
-        for j in candidates_for(predicate_sets[i]):
-            if i == j:
-                continue
-            other = queries[j]
-            if is_contained_in(query, other):
-                # Break ties deterministically so mutually-equivalent pairs
-                # keep exactly one member.
-                if is_contained_in(other, query) and i < j:
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(query)
-    return kept
+    return _drop_contained(queries, map(candidates_for, predicate_sets), is_contained_in)
 
 
 def minimize_union_brute_force(
@@ -729,18 +724,21 @@ def minimize_union_brute_force(
     candidate filter only skips pairs that provably fail — and the C11
     benchmark measures the quadratic cliff this kept the seed on.
     """
-    kept: list[ConjunctiveQuery] = []
-    for i, query in enumerate(queries):
-        redundant = False
-        for j, other in enumerate(queries):
-            if i == j:
-                continue
-            if is_contained_in_brute_force(query, other):
-                if is_contained_in_brute_force(other, query) and i < j:
-                    continue
-                redundant = True
-                break
-        if not redundant:
+    return _drop_contained(
+        queries, itertools.repeat(range(len(queries))), is_contained_in_brute_force
+    )
+
+
+def _drop_contained(queries: list, candidates, contained) -> list:
+    """The queries that none of their candidates (one iterable of
+    positions per query) contains; of equivalent members the earlier stays."""
+    kept = []
+    for i, (query, others) in enumerate(zip(queries, candidates)):
+        for j in others:
+            if j != i and contained(query, queries[j]):
+                if not (i < j and contained(queries[j], query)):
+                    break
+        else:
             kept.append(query)
     return kept
 

@@ -51,6 +51,7 @@ from repro.piazza.datalog import (
     RuleTemplate,
     Subst,
     Var,
+    _build,
     apply_subst,
     apply_subst_atom,
     fresh_suffix,
@@ -83,14 +84,6 @@ class ReformulationResult:
 
     def __len__(self) -> int:
         return len(self.rewritings)
-
-
-def _build(template, cells: list):
-    """Instantiate a :class:`RuleTemplate` argument over filled cells."""
-    if template.__class__ is int:
-        return cells[template]
-    name, args = template
-    return Func(name, tuple(_build(arg, cells) for arg in args))
 
 
 def _expand(goal: Atom, template: RuleTemplate, rest: tuple, head: Atom):

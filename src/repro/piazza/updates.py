@@ -6,7 +6,7 @@ updategrams for views."  This module implements that pipeline with the
 classic *counting* algorithm: a materialized conjunctive-query view
 keeps a derivation count per tuple, and a base updategram is translated
 into a view updategram via one delta-join pass per body atom
-(Δ-rule: old atoms to the left of the delta position, new to the right).
+(Δ-rule: new atoms to the left of the delta position, old to the right).
 Deletions decrement counts, so alternative derivations are handled
 correctly — the problem that makes naive set-oriented deltas unsound.
 """
@@ -17,14 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.piazza.datalog import (
-    Atom,
-    ConjunctiveQuery,
-    Instance,
-    _eval_body,
-    apply_subst_atom,
-    is_ground,
-)
+from repro.piazza.datalog import ConjunctiveQuery, Instance, Plan
 
 
 @dataclass
@@ -128,16 +121,19 @@ class IncrementalView:
         self.query = query
         self.instance: Instance = {pred: set(rows) for pred, rows in instance.items()}
         self.counts: Counter[tuple] = Counter()
-        self.stats: dict = {}
+        self.probed = 0
+        # One delta rule per body position, opened on the delta rows.
+        self._delta_plans = [
+            Plan.compile(query.head, query.body, first=index)
+            for index in range(len(query.body))
+        ]
         self._recompute_counts()
 
     def _derivations(self, instance: Instance) -> Counter:
-        counts: Counter[tuple] = Counter()
-        for subst in _eval_body(self.query.body, instance, {}, self.stats):
-            head = apply_subst_atom(self.query.head, subst)
-            if all(is_ground(arg) for arg in head.args):
-                counts[head.args] += 1
-        return counts
+        plan = self.query.plan
+        heads, probed = plan.run(plan.sources(instance), {})
+        self.probed += probed
+        return Counter(heads)
 
     def _recompute_counts(self) -> None:
         self.counts = self._derivations(self.instance)
@@ -166,94 +162,44 @@ class IncrementalView:
         so it must not decrement the count — only ``deletes - inserts``
         rows actually leave the instance.
         """
-        old = self.instance
         touched = gram.relations()
-        new: Instance = {
+        return self._fold(gram, {
             pred: set(rows) if pred in touched else rows
-            for pred, rows in old.items()
-        }
-        gram.apply_to(new)
-        before = self.tuples()
-
-        delta_counts: Counter[tuple] = Counter()
-        body = self.query.body
-        for index, atom in enumerate(body):
-            delta_inserts = gram.inserts.get(atom.predicate, set()) - old.get(
-                atom.predicate, set()
-            )
-            delta_deletes = (
-                gram.deletes.get(atom.predicate, set())
-                - gram.inserts.get(atom.predicate, set())
-            ) & old.get(atom.predicate, set())
-            for delta_rows, sign in ((delta_inserts, +1), (delta_deletes, -1)):
-                if not delta_rows:
-                    continue
-                # Rename predicates per position so a self-joined relation
-                # can see *old* rows at one position and *new* at another.
-                renamed_body: list[Atom] = []
-                mixed: Instance = {}
-                for j, other in enumerate(body):
-                    if j == index:
-                        name = "__delta__"
-                        mixed[name] = set(delta_rows)
-                    elif j < index:
-                        name = f"__new__:{other.predicate}"
-                        mixed[name] = new.get(other.predicate, set())
-                    else:
-                        name = f"__old__:{other.predicate}"
-                        mixed[name] = old.get(other.predicate, set())
-                    renamed_body.append(Atom(name, other.args))
-                for subst in _eval_body(tuple(renamed_body), mixed, {}, self.stats):
-                    head = apply_subst_atom(self.query.head, subst)
-                    if all(is_ground(arg) for arg in head.args):
-                        delta_counts[head.args] += sign
-
-        self.counts.update(delta_counts)
-        self.counts = +self.counts  # drop zero/negative entries
-        self.instance = new
-        after = self.tuples()
-        return ViewDelta(inserted=after - before, deleted=before - after)
+            for pred, rows in self.instance.items()
+        })
 
     def apply_brute_force(self, gram: Updategram) -> ViewDelta:
         """The pre-scale :meth:`apply`: copies the *whole* instance per
         updategram.  Kept as the parity oracle for the touched-relations
-        copy (the effective-delta computation is shared — the copy
-        strategy is what differs)."""
+        copy; the delta passes are shared."""
+        return self._fold(gram, {pred: set(rows) for pred, rows in self.instance.items()})
+
+    def _fold(self, gram: Updategram, new: Instance) -> ViewDelta:
+        """Apply ``gram`` to ``new`` (a copy of the instance) and fold
+        the delta passes into the counts."""
         old = self.instance
-        new: Instance = {pred: set(rows) for pred, rows in old.items()}
         gram.apply_to(new)
         before = self.tuples()
-
         delta_counts: Counter[tuple] = Counter()
-        body = self.query.body
-        for index, atom in enumerate(body):
-            delta_inserts = gram.inserts.get(atom.predicate, set()) - old.get(
-                atom.predicate, set()
+        tables: dict = {}  # old, new and the deltas stay unchanged from here
+        for index, plan in enumerate(self._delta_plans):
+            predicate = plan.predicates[index]
+            inserts = gram.inserts.get(predicate, set())
+            delta_inserts = inserts - old.get(predicate, set())
+            delta_deletes = (gram.deletes.get(predicate, set()) - inserts) & old.get(
+                predicate, set()
             )
-            delta_deletes = (
-                gram.deletes.get(atom.predicate, set())
-                - gram.inserts.get(atom.predicate, set())
-            ) & old.get(atom.predicate, set())
             for delta_rows, sign in ((delta_inserts, +1), (delta_deletes, -1)):
                 if not delta_rows:
                     continue
-                renamed_body: list[Atom] = []
-                mixed: Instance = {}
-                for j, other in enumerate(body):
-                    if j == index:
-                        name = "__delta__"
-                        mixed[name] = set(delta_rows)
-                    elif j < index:
-                        name = f"__new__:{other.predicate}"
-                        mixed[name] = new.get(other.predicate, set())
-                    else:
-                        name = f"__old__:{other.predicate}"
-                        mixed[name] = old.get(other.predicate, set())
-                    renamed_body.append(Atom(name, other.args))
-                for subst in _eval_body(tuple(renamed_body), mixed, {}, self.stats):
-                    head = apply_subst_atom(self.query.head, subst)
-                    if all(is_ground(arg) for arg in head.args):
-                        delta_counts[head.args] += sign
+                sources = [
+                    delta_rows if j == index else (new if j < index else old).get(p, ())
+                    for j, p in enumerate(plan.predicates)
+                ]
+                heads, probed = plan.run(sources, tables)
+                self.probed += probed
+                for head in heads:
+                    delta_counts[head] += sign
 
         self.counts.update(delta_counts)
         self.counts = +self.counts  # drop zero/negative entries
@@ -272,16 +218,17 @@ class IncrementalView:
         return ViewDelta(inserted=after - before, deleted=before - after)
 
     def work(self) -> int:
-        """Cumulative atom-vs-fact match attempts (cost metric)."""
-        return self.stats.get("match_attempts", 0)
+        """Cumulative facts probed (cost metric): the hashed facts each
+        pending row tried, summed over every join step of every pass."""
+        return self.probed
 
     def reset_work(self) -> None:
         """Zero the work counter."""
-        self.stats["match_attempts"] = 0
+        self.probed = 0
 
     # -- cost-based maintenance choice ------------------------------------------
     def estimate_incremental_cost(self, gram: Updategram) -> int:
-        """Predicted match attempts for :meth:`apply` on this updategram.
+        """Predicted work (:meth:`work`) of :meth:`apply` on this updategram.
 
         One delta pass per (body position, sign) joins the delta against
         the other relations' extents.
@@ -302,7 +249,7 @@ class IncrementalView:
         return cost
 
     def estimate_recompute_cost(self) -> int:
-        """Predicted match attempts for a full recompute (scan everything
+        """Predicted work of a full recompute (scan everything
         at the first join position, probe the rest)."""
         return sum(
             len(self.instance.get(atom.predicate, ())) for atom in self.query.body

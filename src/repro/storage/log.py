@@ -84,7 +84,7 @@ class LogEngine(StorageEngine):
 
         self.obs = obs or _obs.default()
         self.name = name
-        self.directory = Path(directory)
+        self.directory = directory if isinstance(directory, Path) else Path(directory)
         self.snapshot_every = snapshot_every
         self._inner = MemoryEngine()
         self._wal = WriteAheadLog(self.directory / f"{name}.wal", sync=sync)

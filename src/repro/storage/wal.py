@@ -123,7 +123,7 @@ class WriteAheadLog:
     """
 
     def __init__(self, path: str | Path, sync: bool = False):  # noqa: D107
-        self.path = Path(path)
+        self.path = path if isinstance(path, Path) else Path(path)
         self.sync = sync
         self.truncated_tail = False
         self._handle = None
@@ -181,7 +181,8 @@ class WriteAheadLog:
         *complete* record raises :class:`CorruptLogError`.
         """
         try:
-            data = self.path.read_bytes()
+            # A fresh log is empty: one stat, no open (no records, no torn tail).
+            data = self.path.read_bytes() if self.path.stat().st_size else b""
         except FileNotFoundError:
             self._tail_validated = True
             return iter(())
@@ -219,7 +220,7 @@ class SnapshotFile:
     """
 
     def __init__(self, path: str | Path, sync: bool = False):  # noqa: D107
-        self.path = Path(path)
+        self.path = path if isinstance(path, Path) else Path(path)
         self.sync = sync
 
     def write(self, payload: dict) -> int:

@@ -1,12 +1,14 @@
 """Tests for updategrams and counting-based incremental view maintenance."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.piazza import IncrementalView, Updategram
+from repro.piazza.datalog import _eval_body, apply_subst_atom
 from repro.piazza.parse import parse_query
 
 
@@ -255,6 +257,11 @@ class TestApplyAliasingParity:
             assert fast.instance == slow.instance
             assert fast.tuples() == slow.tuples() == oracle.tuples()
             assert fast.instance == oracle.instance
+            # The counts are the nested-loop oracle's derivation multiplicities.
+            assert fast.counts == Counter(
+                apply_subst_atom(fast.query.head, subst).args
+                for subst in _eval_body(fast.query.body, fast.instance, {})
+            )
         # Identical work metric: the delta passes are the same joins.
         assert fast.work() == slow.work()
 
