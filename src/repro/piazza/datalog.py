@@ -261,13 +261,20 @@ class ConjunctiveQuery:
         )
 
     def canonical(self) -> tuple:
-        """A canonical fingerprint invariant under variable renaming."""
-        numbering: dict[Var, tuple] = {}
+        """A canonical fingerprint invariant under variable renaming,
+        computed once per query object."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> tuple:
+        # Variables become ints, by name (str hashing and equality are
+        # C-level); constants and Skolems become tagged tuples.
+        numbering: dict[str, int] = {}
 
         def normalize(term: Term):
             term = _unconst(term)
             if isinstance(term, Var):
-                return numbering.setdefault(term, ("var", len(numbering)))
+                return numbering.setdefault(term.name, len(numbering))
             if isinstance(term, Func):
                 return ("func", term.name, tuple(normalize(arg) for arg in term.args))
             return ("const", term)
@@ -275,7 +282,7 @@ class ConjunctiveQuery:
         def normalize_atom(atom: Atom):
             # Plain variables inline: every search state is fingerprinted here.
             return (atom.predicate, tuple([
-                numbering.setdefault(arg, ("var", len(numbering)))
+                numbering.setdefault(arg.name, len(numbering))
                 if arg.__class__ is Var else normalize(arg)
                 for arg in atom.args
             ]))
@@ -283,10 +290,10 @@ class ConjunctiveQuery:
         head = normalize_atom(self.head)
         # Sort body atoms by a rename-independent key first; ties broken
         # by insertion order to keep this cheap.
-        body = tuple(
+        body = tuple([
             normalize_atom(atom)
             for atom in sorted(self.body, key=lambda a: (a.predicate, len(a.args)))
-        )
+        ])
         return (head, body)
 
     def __repr__(self) -> str:
@@ -543,7 +550,7 @@ class Plan:
 
 def evaluate_query(query: ConjunctiveQuery, instance: Instance) -> set[tuple]:
     """All head tuples of ``query`` over ``instance`` (may contain Skolems)."""
-    return evaluate_union((query,), instance)
+    return set(query.plan.run(query.plan.sources(instance), {})[0])
 
 
 def _eval_body(body: tuple, instance: Instance, subst: Subst) -> Iterator[Subst]:
@@ -577,13 +584,44 @@ def evaluate_query_brute_force(query: ConjunctiveQuery, instance: Instance) -> s
     return results
 
 
+def _shape(query: ConjunctiveQuery) -> tuple:
+    """What :meth:`Plan.compile` reads of a query: every argument in body
+    order, variables numbered by first occurrence, constants by class and
+    value, and no predicate names."""
+    numbering: dict[str, int] = {}  # variables by name, as Plan.compile keys them
+
+    def shape(term):
+        if term.__class__ is Var:
+            return numbering.setdefault(term.name, len(numbering))
+        if term.__class__ is Func:
+            return (term.name, tuple(map(shape, term.args)))
+        if term.__class__ is Const:
+            return shape(term.value)
+        return (term.__class__, term)
+
+    return tuple([
+        tuple([
+            numbering.setdefault(arg.name, len(numbering)) if arg.__class__ is Var else shape(arg)
+            for arg in atom.args
+        ])
+        for atom in (query.head, *query.body)
+    ])
+
+
 def evaluate_union(queries: Iterable[ConjunctiveQuery], instance: Instance) -> set[tuple]:
-    """Union of the answers of several conjunctive queries; the members
-    share hashed facts, so a relation is hashed once per key."""
+    """Union of the answers of several conjunctive queries.  Members whose
+    bodies differ only in predicate names share one compiled plan, and
+    all members share hashed facts, so a relation is hashed once per key."""
     results: set[tuple] = set()
     tables: dict = {}
+    plans: dict[tuple, Plan] = {}
     for query in queries:
-        results.update(query.plan.run(query.plan.sources(instance), tables)[0])
+        shape = _shape(query)
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = query.plan
+        sources = [instance.get(atom.predicate, ()) for atom in query.body]
+        results.update(plan.run(sources, tables)[0])
     return results
 
 

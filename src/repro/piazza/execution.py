@@ -23,10 +23,10 @@ nodes").  The executor here:
   assert it) and a task failing mid-fan-out propagates without leaving
   a partially-applied :class:`ExecutionStats` or a half-charged
   network;
-* evaluates the union with the shared-table hash join of
-  :func:`repro.piazza.datalog.evaluate_union`, fetching only the
-  relations the rewritings mention instead of materializing the global
-  instance;
+* evaluates the union with :func:`repro.piazza.datalog.evaluate_union`,
+  which runs one compiled join plan per union shape over facts hashed
+  once per relation and key, fetching only the relations the rewritings
+  mention instead of materializing the global instance;
 * consults *materialized views* — a peer may materialize the result of a
   whole conjunctive query; syntactically equal (up to renaming) CQs are
   then answered from the materialization without touching the sources.
@@ -151,6 +151,8 @@ class DistributedExecutor:
         rather than ever serving a frozen snapshot.  (The continuously
         maintained alternative is :class:`~repro.piazza.serving.ViewServer`.)
         """
+        if not self._views:
+            return None
         key = (peer,) + query.canonical()
         view = self._views.get(key)
         if view is None:

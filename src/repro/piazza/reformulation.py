@@ -25,10 +25,28 @@ those are (ablated in benchmark C3):
   ``max_rule_uses`` times along one root-to-leaf path, bounding cycles;
 * **duplicate-goal collapsing** — syntactically identical pending goals
   are deduplicated;
+* **goal tabling** — a goal that waits on the goals before it (the
+  second atom of a join) is expanded again under each of their
+  completions.  The first expansion records the goal's *completions*
+  (the stored-relation atoms that replace it, in the order the search
+  emits them), keyed by the goal and which of its variables the rest of
+  the state or the head shares; every later context replays the table
+  as the product the search would have built.  A table is reused only
+  where the context cannot change the goal's subtree: no rule reachable
+  from the goal is on the context's path, and no predicate reachable
+  from it is among the context's goals (so no generated atom collapses
+  with one); the remaining depth covers the subtree and no bound cut
+  it; no expansion below binds a shared variable; and every memo hit
+  below came from the subtree itself.  Anywhere else the goal expands
+  as before.  After the search, a replay whose skipped states could
+  share a memo key with a state outside it (equal predicate
+  multisets) makes the call search again untabled, so the rewritings,
+  their order and ``depth_limit_hit`` are always the untabled search's;
+  only the effort counters fall;
 * **UCQ minimization** — rewritings contained in other rewritings are
   dropped from the final union.
 
-At scale a fifth, *structural* pruning layer rides on top: passing a
+At scale a further, *structural* pruning layer rides on top: passing a
 prebuilt :class:`~repro.piazza.mapping_index.MappingIndex` (``index=``)
 serves each goal expansion from the cached by-head-predicate rule lists
 and skips rules whose bodies can never reach a stored relation (the
@@ -41,7 +59,8 @@ speed: ``benchmarks/bench_c11_pdms_scale.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.piazza.datalog import (
     Atom,
@@ -65,6 +84,12 @@ from repro.piazza.mapping_index import entries_by_head
 class ReformulationResult:
     """Outcome of a reformulation run, with search-effort counters.
 
+    ``nodes_expanded`` counts the goal expansions the search ran; a goal
+    answered from its table (``prune=True``) is not expanded again, so a
+    join counts each atom's expansions once rather than once per
+    completion of the atoms before it.  ``nodes_pruned`` counts the
+    states and candidate rules the heuristics cut among those.
+
     ``index_hits`` / ``rules_skipped`` are only non-zero when the run
     was served by a :class:`~repro.piazza.mapping_index.MappingIndex`:
     the former counts goal expansions answered from the index, the
@@ -87,10 +112,11 @@ class ReformulationResult:
 
 
 def _expand(goal: Atom, template: RuleTemplate, rest: tuple, head: Atom):
-    """The child state's goals (rule body, then ``rest``) and head, or
-    ``None`` if the rule head cannot match ``goal``.  Head slots take the
-    goal's arguments; only constants, Skolems and repeated variables are
-    unified, and only a binding they make rewrites ``rest`` and ``head``."""
+    """The child state's goals (rule body, then ``rest``), head and the
+    unifier's bindings, or ``None`` if the rule head cannot match
+    ``goal``.  Head slots take the goal's arguments; only constants,
+    Skolems and repeated variables are unified, and only a binding they
+    make rewrites ``rest`` and ``head``."""
     if len(goal.args) != template.arity:
         return None
     cells = list(template.cells)
@@ -112,7 +138,137 @@ def _expand(goal: Atom, template: RuleTemplate, rest: tuple, head: Atom):
         Atom(predicate, tuple([_build(arg, cells) for arg in args]))
         for predicate, args in template.body
     )
-    return body + rest, head
+    return body + rest, head, bound
+
+
+def _goal_key(goal: Atom, others) -> tuple[tuple, list, frozenset]:
+    """A goal's table key, its variables in first-occurrence order, and
+    those of them that also occur in ``others`` (the rest of the state
+    and the head).  Goals with one key differ only in variable names."""
+    numbering: dict[Var, int] = {}
+
+    def shape(term):
+        if term.__class__ is Var:
+            return numbering.setdefault(term, len(numbering))
+        if term.__class__ is Func:
+            return (term.name, tuple(map(shape, term.args)))
+        return (term.__class__, term)
+
+    args = tuple(map(shape, goal.args))
+    variables = list(numbering)
+    shared = frozenset(set().union(*(atom.variables() for atom in others)).intersection(variables))
+    return (goal.predicate, args, tuple(var in shared for var in variables)), variables, shared
+
+
+class _Table(NamedTuple):
+    """A goal's completions, as templates over the goal's variables.
+
+    ``cells`` holds a ``None`` per variable slot (the goal's own
+    variables first, then ``fresh``) and each constant.  A completion is
+    ``(goal part, depth offset, rule uses)``: the stored-relation atoms
+    that replaced the goal, and how deep and with which rules the search
+    found them.  ``span`` is the deepest expansion below the goal;
+    ``shapes`` the predicate multisets of the states below it.
+    """
+
+    cells: tuple
+    fresh: tuple
+    completions: tuple
+    span: int
+    shapes: tuple
+
+
+@dataclass(eq=False)
+class _Recording:
+    """A goal's subtree while the search explores it the first time.
+
+    Every state below the goal is its *goal part* followed by the
+    ``context`` goals beside it; a state whose goal part holds only
+    stored relations is a completion.  ``valid`` drops when the subtree
+    did something another context could not repeat.
+    """
+
+    key: tuple
+    variables: list
+    shared: frozenset
+    depth: int
+    uses: dict
+    context: int
+    base: int  # the stack height under the goal's children
+    deepest: int = 0
+    valid: bool = True
+    shapes: set = field(default_factory=set)
+    completions: list = field(default_factory=list)
+
+    def table(self) -> _Table:
+        """The recorded completions, templated over the goal's variables."""
+        slots = {var: slot for slot, var in enumerate(self.variables)}
+        cells, fresh = [None] * len(slots), []
+
+        def template(term):
+            if term.__class__ is Var:
+                if term not in slots:
+                    slots[term] = len(cells)
+                    fresh.append((len(cells), term.name))
+                    cells.append(None)
+                return slots[term]
+            if term.__class__ is Func:
+                return (term.name, tuple(map(template, term.args)))
+            cells.append(term)
+            return len(cells) - 1
+
+        completions = tuple(
+            (
+                tuple((atom.predicate, tuple(map(template, atom.args))) for atom in part),
+                depth - self.depth,
+                {rule: n for rule, n in uses.items() if rule not in self.uses},
+            )
+            for part, depth, uses in self.completions
+        )
+        return _Table(
+            tuple(cells), tuple(fresh), completions, self.deepest - self.depth,
+            tuple(self.shapes),
+        )
+
+
+def _replay(table: _Table, variables: list, rest: tuple, head: Atom, depth: int,
+            rule_uses: dict, inside: tuple) -> list:
+    """The table's completion states in this context, last one first
+    (so that the stack pops them in the order the search emitted them).
+    Each waits on nothing the goal produced: its next goal, in the
+    context, is a join point as it was where the table was recorded."""
+    cells = list(table.cells)
+    cells[: len(variables)] = variables
+    if table.fresh:
+        suffix = fresh_suffix()
+        for slot, name in table.fresh:
+            cells[slot] = Var(f"{name}~{suffix}")
+    return [
+        (
+            tuple(
+                Atom(predicate, tuple([_build(arg, cells) for arg in args]))
+                for predicate, args in part
+            ) + rest,
+            head, depth + offset, {**rule_uses, **uses}, 0, inside,
+        )
+        for part, offset, uses in reversed(table.completions)
+    ]
+
+
+def _replays_agree(seen_states: dict, replays: list) -> bool:
+    """True if no state a replay skipped could share a memo key with a
+    state outside that replay.  Equal keys need equal predicate
+    multisets, so distinct multisets prove the memo saw what the
+    untabled search would have."""
+    owners: dict[tuple, int | None] = {}
+    for (_, (_, body)), (_, replay) in seen_states.items():
+        if owners.setdefault(tuple(atom[0] for atom in body), replay) != replay:
+            return False
+    for number, (table, context) in enumerate(replays):
+        for part in table.shapes:
+            if owners.setdefault(tuple(sorted(part + context)), number) != number:
+                return False
+    return True
 
 
 def reformulate(
@@ -128,25 +284,66 @@ def reformulate(
 ) -> ReformulationResult:
     """Rewrite ``query`` into a union of CQs over ``edb_predicates``.
 
-    ``prune=False`` disables goal memoization and duplicate collapsing
-    (the C3 ablation); the rule budget and depth bound always apply, or
-    cyclic mapping graphs would never terminate.
+    ``prune=False`` disables goal memoization, duplicate collapsing and
+    goal tabling (the C3 ablation); the rule budget and depth bound
+    always apply, or cyclic mapping graphs would never terminate.
 
     ``index`` (a :class:`~repro.piazza.mapping_index.MappingIndex`
     built over the same ``rules``/``edb_predicates``) replaces the
     per-call by-head dictionary build with cached lookups and skips
     relevance-pruned rules; the rewriting set is identical either way.
     """
-    by_head = entries_by_head(rules) if index is None else {}
-    result = ReformulationResult(rewritings=[])
-    seen_states: set[tuple] = set()
-    seen_rewritings: set[tuple] = set()
+    options = (
+        entries_by_head(rules) if index is None else {}, index, edb_predicates,
+        max_depth, max_rule_uses, prune, max_rewritings,
+    )
+    result = _search(query, *options, tabling=prune)
+    if result is None:  # a replay may have hidden a memo hit: search untabled
+        result = _search(query, *options, tabling=False)
+    if minimize and len(result.rewritings) > 1:
+        result.rewritings = minimize_union(result.rewritings)
+    return result
 
-    # A state is (goals, head, depth, rule uses), resolved and Const-free.
+
+def _search(query, by_head, index, edb_predicates, max_depth, max_rule_uses, prune,
+            max_rewritings, tabling) -> ReformulationResult | None:
+    """The rule-goal tree search; ``None`` if a tabled run cannot prove
+    it saw what the untabled one would."""
+    result = ReformulationResult(rewritings=[])
+    # memo key -> (the recordings its state lay inside, its replay number)
+    seen_states: dict[tuple, tuple] = {}
+    seen_rewritings: set[tuple] = set()
+    tables: dict[tuple, _Table] = {}
+    replays: list[tuple[_Table, tuple]] = []  # (table, context predicates)
+    recordings: list[_Recording] = []  # open, innermost last
+    reach_of: dict[str, tuple[frozenset, frozenset]] = {}
+
+    def candidates_for(predicate: str):
+        return index.rules_for(predicate) if index is not None else by_head.get(predicate, ())
+
+    def reach(predicate: str) -> tuple[frozenset, frozenset]:
+        """The predicates and rule positions any expansion of ``predicate`` can touch."""
+        if predicate not in reach_of:
+            predicates, positions, frontier = {predicate}, set(), [predicate]
+            while frontier:
+                for entry in candidates_for(frontier.pop()):
+                    positions.add(entry.position)
+                    new = entry.body_predicates - predicates
+                    predicates |= new
+                    frontier.extend(new)
+            reach_of[predicate] = (frozenset(predicates), frozenset(positions))
+        return reach_of[predicate]
+
+    # A state is (goals, head, depth, rule uses, how many leading goals its
+    # expansion produced, the recordings it lies inside); resolved, Const-free.
     goals = tuple(apply_subst_atom(atom, {}) for atom in query.body)
-    stack = [(goals, apply_subst_atom(query.head, {}), 0, {})]
+    stack = [(goals, apply_subst_atom(query.head, {}), 0, {}, len(goals), ())]
     while stack:
-        goals, head, depth, rule_uses = stack.pop()
+        while recordings and len(stack) <= recordings[-1].base:
+            recording = recordings.pop()
+            if recording.valid:
+                tables.setdefault(recording.key, recording.table())
+        goals, head, depth, rule_uses, produced, inside = stack.pop()
         if len(result.rewritings) >= max_rewritings:
             break
         # Find the first goal not over a stored relation.
@@ -155,6 +352,12 @@ def reformulate(
             if goal.predicate not in edb_predicates:
                 pending_index = goal_position
                 break
+        while inside and (
+            pending_index is None or pending_index >= len(goals) - inside[0].context
+        ):
+            cut = len(goals) - inside[0].context
+            inside[0].completions.append((goals[:cut], depth, rule_uses))
+            inside = inside[1:]
         if pending_index is None:
             # Complete rewriting: all goals are stored relations.  A Skolem
             # (a Func: resolved terms carry no Const wrappers) in the answer,
@@ -175,8 +378,12 @@ def reformulate(
             result.rewritings.append(rewriting)
             continue
 
+        for recording in inside:
+            recording.deepest = max(recording.deepest, depth)
         if depth >= max_depth:
             result.depth_limit_hit = True
+            for recording in inside:
+                recording.valid = False
             continue
 
         goal = goals[pending_index]
@@ -186,19 +393,52 @@ def reformulate(
             # Keyed on the head too: alpha-equal goals that bind the
             # answer variables differently are different states.
             fingerprint = (goal.predicate, ConjunctiveQuery(head, (goal,) + rest).canonical())
-            if fingerprint in seen_states:
+            owner = seen_states.get(fingerprint)
+            if owner is not None:
                 result.nodes_pruned += 1
+                for recording in inside:
+                    if recording not in owner[0]:  # pruned from outside its subtree
+                        recording.valid = False
                 continue
-            seen_states.add(fingerprint)
+            for recording in inside:
+                part = goals[: len(goals) - recording.context]
+                recording.shapes.add(tuple(sorted(atom.predicate for atom in part)))
+            replay = None
+            # A goal the last expansion did not produce waits on the goals
+            # before it, so each of their completions expands it again.
+            if tabling and pending_index >= produced:
+                predicates, positions = reach(goal.predicate)
+                if positions.isdisjoint(rule_uses) and not any(
+                    atom.predicate in predicates for atom in rest
+                ):
+                    key, variables, shared = _goal_key(goal, rest + (head,))
+                    table = tables.get(key)
+                    if table is None:
+                        recording = _Recording(
+                            key, variables, shared, depth, rule_uses, len(rest),
+                            len(stack), deepest=depth,
+                        )
+                        recordings.append(recording)
+                        inside = (recording,) + inside
+                    elif depth + table.span < max_depth:
+                        replay = len(replays)
+                        replays.append(
+                            (table, tuple(atom.predicate for atom in rest))
+                        )
+                        for recording in inside:  # its shapes would miss the skipped states
+                            recording.valid = False
+                        stack += _replay(
+                            table, variables, rest, head, depth, rule_uses, inside
+                        )
+            seen_states[fingerprint] = (inside, replay)
+            if replay is not None:
+                continue
 
         result.nodes_expanded += 1
         if index is not None:
             result.index_hits += 1
             result.rules_skipped += index.dead_rules_for(goal.predicate)
-            candidates = index.rules_for(goal.predicate)
-        else:
-            candidates = by_head.get(goal.predicate, ())
-        for entry in candidates:
+        for entry in candidates_for(goal.predicate):
             uses = rule_uses.get(entry.position, 0)
             if uses >= max_rule_uses:
                 result.nodes_pruned += 1
@@ -206,12 +446,18 @@ def reformulate(
             child = _expand(goal, entry.template, rest, head)
             if child is None:
                 continue
-            new_goals, new_head = child
+            new_goals, new_head, bound = child
+            if bound:
+                for recording in inside:
+                    if not recording.shared.isdisjoint(bound):
+                        recording.valid = False
             if prune:
                 new_goals = tuple(dict.fromkeys(new_goals))  # collapse duplicates
             new_uses = {**rule_uses, entry.position: uses + 1}
-            stack.append((new_goals, new_head, depth + 1, new_uses))
+            stack.append(
+                (new_goals, new_head, depth + 1, new_uses, len(entry.template.body), inside)
+            )
 
-    if minimize and len(result.rewritings) > 1:
-        result.rewritings = minimize_union(result.rewritings)
+    if replays and not _replays_agree(seen_states, replays):
+        return None
     return result

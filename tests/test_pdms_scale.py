@@ -17,10 +17,11 @@ cross edges), on random join streams, and on targeted hand-built
 topologies for the closure logic.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.pdms_gen import random_tree_pdms
@@ -125,6 +126,57 @@ def instances(draw):
     return instance
 
 
+def _flip(term):
+    return Const(_flip(term.value)) if term.__class__ is Const else 1 - term
+
+
+def _wrap(term):
+    return term.value if term.__class__ is Const else Const(term)
+
+
+def _edit_constant(query, chosen: int, edit) -> tuple[ConjunctiveQuery, int]:
+    """``query`` with its ``chosen``-th constant (head first, Skolem
+    arguments included) replaced by ``edit(constant)``, and how many
+    constants it holds."""
+    seen = itertools.count()
+
+    def walk(term):
+        if term.__class__ is Var:
+            return term
+        if term.__class__ is Func:
+            return Func(term.name, tuple(map(walk, term.args)))
+        return edit(term) if next(seen) == chosen else term
+
+    def atom(a):
+        return Atom(a.predicate, tuple(map(walk, a.args)))
+
+    edited = ConjunctiveQuery(atom(query.head), tuple(map(atom, query.body)))
+    return edited, next(seen)
+
+
+@st.composite
+def sibling_unions(draw):
+    """A generated query, then members that differ from it only in
+    predicate names, in one constant, or in one ``Const`` wrapper: the
+    shapes a plan shared within a union must not be mistaken across."""
+    query = draw(conjunctive_queries())
+    constants = _edit_constant(query, -1, None)[1]
+    members = [query]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from([None, _flip, _wrap] if constants else [None]))
+        if edit is None:  # rename each body predicate to one of its arity
+            members.append(ConjunctiveQuery(query.head, tuple(
+                Atom(draw(st.sampled_from(
+                    [p for p in sorted(ARITIES) if ARITIES[p] == ARITIES[a.predicate]]
+                )), a.args)
+                for a in query.body
+            )))
+        else:
+            chosen = draw(st.integers(0, constants - 1))
+            members.append(_edit_constant(query, chosen, edit)[0])
+    return members
+
+
 def _nested_loop_counts(query, instance) -> Counter:
     """Derivation multiplicities by the nested-loop oracle."""
     heads = (apply_subst_atom(query.head, subst).args
@@ -134,13 +186,22 @@ def _nested_loop_counts(query, instance) -> Counter:
 
 class TestEvaluationParity:
     @settings(max_examples=400, deadline=None)
-    @given(conjunctive_queries(), instances())
-    def test_hash_join_equals_brute_force_on_random_instances(self, query, instance):
+    @given(sibling_unions(), instances())
+    @example(  # one shape, two relations
+        queries=[parse_query("q(X) :- r(X, Y)"), parse_query("q(X) :- s(X, Y)")],
+        instance={"r": {(1, 2)}, "s": {(3, 4)}},
+    )
+    def test_hash_join_equals_brute_force_on_random_instances(self, queries, instance):
         # The compiled plan == the nested loop: the same answers, and the
         # same number of derivations per answer (what a view counts).
+        query = queries[0]
         assert evaluate_query(query, instance) == evaluate_query_brute_force(query, instance)
         counts = _nested_loop_counts(query, instance)
         assert IncrementalView(query, instance).counts == counts
+        # A union's members share one plan per shape, never across shapes.
+        assert evaluate_union(queries, instance) == evaluate_union_brute_force(
+            queries, instance
+        )
 
     def test_const_wrapped_facts_match_like_brute_force(self):
         # Regression: fact-side hash keys must unconst like probe keys,
@@ -223,6 +284,34 @@ class TestReformulationParity:
         assert index.stats.dead_rules > 0
         result = pdms.reformulate(_sample_queries(pdms)[0], max_depth=30)
         assert result.rules_skipped > 0
+
+
+class TestGoalTabling:
+    """The benchmark's join network: the instructor atom waits on each of
+    the course atom's completions, and is expanded only under the first."""
+
+    def test_join_expands_each_atom_once(self):
+        from test_piazza_reformulation import _reference_reformulate
+
+        pdms = random_tree_pdms(30, seed=12, courses=4, dataless_peers=6)
+        gold = pdms.generator_info["golds"]["p0"]
+        course = f"p0.{gold['course']}(?c, ?t, ?n, ?w, ?l, ?en, ?d)"
+        instructor = f"p0.{gold['instructor']}(?i, ?n, ?e, ?ph, ?o)"
+        query = parse_query(f"q(?t, ?e) :- {course}, {instructor}")
+        join = pdms.reformulate(query, max_depth=64)
+        singles = [
+            pdms.reformulate(f"q(?t) :- {course}", max_depth=64),
+            pdms.reformulate(f"q(?e) :- {instructor}", max_depth=64),
+        ]
+        assert join.nodes_expanded == sum(single.nodes_expanded for single in singles)
+        assert len(join) == len(singles[0]) * len(singles[1])
+        untabled = _reference_reformulate(
+            query, pdms.rules(), pdms.edb_predicates(), max_depth=64
+        )
+        assert untabled.nodes_expanded > join.nodes_expanded
+        assert [r.canonical() for r in join.rewritings] == [
+            r.canonical() for r in untabled.rewritings
+        ]
 
 
 class TestMappingIndex:

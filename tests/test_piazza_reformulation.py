@@ -349,7 +349,49 @@ def _queries(draw):
     return ConjunctiveQuery(Atom("q", tuple(head)), tuple(body))
 
 
+_ARITY.update({"p.c": 2, "p.d": 3, "s!w": 2})
+_FAMILIES = ((["p.a", "p.b"], ["s!x", "s!y"]), (["p.c", "p.d"], ["s!w", "s!z"]))
+_FAMILY_EDB = {"s!w", "s!x", "s!y", "s!z"}
+
+
+@st.composite
+def _joins(draw):
+    """Rules over two mapping families, which a rare rule links, and a
+    query joining an atom of each (and sometimes a third atom of either).
+    The first atom has a rule per stored relation of its family, so the
+    second atom's goal waits on completions over different relations."""
+    heads = st.one_of(*[_variables] * 6, _constants, _skolems)
+    body = [draw(_atoms(idb, heads)) for idb, _ in _FAMILIES]
+    rules = [
+        draw(st.builds(
+            Rule, _atoms([body[0].predicate], _variables),
+            st.lists(_atoms([relation], _variables), min_size=1, max_size=2),
+        ))
+        for relation in _FAMILIES[0][1]
+    ]
+    for (idb, edb), (other, _) in zip(_FAMILIES, reversed(_FAMILIES)):
+        atoms = st.one_of(
+            *[_atoms(edb, _variables)] * 4, *[_atoms(idb, _variables)] * 2,
+            _atoms(edb, _plain_terms), _atoms(other, _variables),
+        )
+        rules += draw(st.lists(
+            st.builds(Rule, _atoms(idb, heads), st.lists(atoms, min_size=1, max_size=2)),
+            min_size=1, max_size=4,
+        ))
+    body += draw(st.lists(_atoms(_FAMILIES[0][0] + _FAMILIES[1][0], heads), max_size=1))
+    variables = sorted({v for atom in body for v in atom.variables()}, key=repr)
+    head = draw(st.lists(st.sampled_from(variables), max_size=2)) if variables else []
+    query = ConjunctiveQuery(Atom("q", tuple(head)), tuple(body))
+    return draw(st.permutations(rules)), query
+
+
 class TestDifferentialAgainstSubstitutionSearch:
+    """The search against the substitution-threading oracle.  Without
+    pruning every counter is equal.  With it, goal tabling may only save
+    expansions: the ordered rewritings and ``depth_limit_hit`` are equal
+    and ``nodes_expanded`` is no larger.  Each ``@example`` below is a
+    context in which a table may not be replayed."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         rules=_rules,
@@ -370,25 +412,152 @@ class TestDifferentialAgainstSubstitutionSearch:
         prune=True, minimize=False, indexed=False, max_depth=2, max_rule_uses=1,
         max_rewritings=2,
     )
+    @example(  # a rule reachable under both atoms (p.c's empty body): the first used it up
+        rules=[
+            Rule(Atom("p.c", (Var("x"), Var("y"))), ()),
+            parse_rule("p.a(X, Y) :- p.c(X, Y), s!x(X, Y)"),
+            parse_rule("p.a(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.b(X, Y, Z) :- p.c(Y, Z), s!z(X, Y, Z)"),
+        ],
+        query=parse_query("q(A) :- p.a(A, B), p.b(B, C, D)"),
+        prune=True, minimize=False, indexed=False, max_depth=5, max_rule_uses=1,
+        max_rewritings=10_000,
+    )
+    @example(  # a rule-head constant binds the shared variable B
+        rules=[
+            parse_rule("p.a(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.a(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.b(X, 1, Z) :- s!z(X, X, Z)"),
+            parse_rule("p.b(X, Y, Z) :- s!z(X, Y, Z)"),
+        ],
+        query=parse_query("q(A, B) :- p.a(A, B), p.b(C, B, D)"),
+        prune=True, minimize=False, indexed=True, max_depth=5, max_rule_uses=2,
+        max_rewritings=10_000,
+    )
+    @example(  # under the second context the body atom p.c(A) is the later goal p.c(A)
+        rules=[
+            parse_rule("p.a(X, X) :- s!y(X)"),
+            parse_rule("p.a(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.b(X) :- p.c(X), s!z(X, X, X)"),
+            parse_rule("p.c(X) :- s!x(X, X)"),
+        ],
+        query=parse_query("q() :- p.a(A, B), p.b(B), p.c(A)"),
+        prune=True, minimize=False, indexed=False, max_depth=3, max_rule_uses=2,
+        max_rewritings=10_000,
+    )
+    @example(  # the depth bound cuts the second atom below the deeper context only
+        rules=[
+            parse_rule("p.a(X, Y) :- p.c(X, Y)"),
+            parse_rule("p.c(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.a(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.b(X, Y, Z) :- p.b(X, Z, Y)"),
+            parse_rule("p.b(X, Y, Z) :- s!z(X, Y, Z)"),
+        ],
+        query=parse_query("q(A, B) :- p.a(A, B), p.b(B, C, D)"),
+        prune=True, minimize=False, indexed=False, max_depth=3, max_rule_uses=1,
+        max_rewritings=10_000,
+    )
+    @example(  # the depth bound cuts the second atom below the first (deeper) context
+        rules=[
+            parse_rule("p.a(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.a(X, Y) :- p.c(X, Y)"),
+            parse_rule("p.c(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.b(X, Y, Z) :- p.b(X, Y, Y)"),
+            parse_rule("p.b(X, Y, Z) :- s!z(X, Y, Z)"),
+        ],
+        query=parse_query("q(A, B) :- p.a(A, B), p.b(B, C, D)"),
+        prune=True, minimize=False, indexed=False, max_depth=3, max_rule_uses=1,
+        max_rewritings=10_000,
+    )
+    @example(  # the second context's p.c state is pruned by the first's, the third's is not
+        rules=[
+            parse_rule("p.a(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.a(X, Y) :- s!x(Y, X)"),
+            parse_rule("p.a(X, Y) :- p.e(X, Y)"),
+            parse_rule("p.e(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.b(X, Y) :- p.c(Z)"),
+            parse_rule("p.c(X) :- s!z(X, X, X)"),
+            parse_rule("p.b(X, Y) :- p.d(X, Y)"),
+            parse_rule("p.d(X, Y) :- p.f(X, Y)"),
+            parse_rule("p.f(X, Y) :- s!z(X, Y, Y)"),
+        ],
+        query=parse_query("q() :- p.a(A, B), p.b(A, B)"),
+        prune=True, minimize=False, indexed=False, max_depth=4, max_rule_uses=2,
+        max_rewritings=10_000,
+    )
+    @example(  # a replayed p.c state shares its memo key with a cut one outside the replay
+        rules=[
+            parse_rule("p.a(X, Y) :- s!x(Y, X)"),
+            parse_rule("p.a(X, Y) :- p.e(X, Y)"),
+            parse_rule("p.e(X, Y) :- s!x(X, Y)"),
+            parse_rule("p.a(X, Y) :- s!y(X), s!y(Y)"),
+            parse_rule("p.b(X, Y) :- p.c(Z)"),
+            parse_rule("p.c(X) :- p.g(X)"),
+            parse_rule("p.g(X) :- s!z(X, X, X)"),
+        ],
+        query=parse_query("q() :- p.a(A, B), p.b(A, B)"),
+        prune=True, minimize=False, indexed=False, max_depth=4, max_rule_uses=2,
+        max_rewritings=10_000,
+    )
+    @example(  # max_rewritings stops inside the replay of the second context
+        rules=[
+            parse_rule("p.a(X, Y) :- s!x(X, Y)"),
+            Rule(  # p.a(X, f(X)) :- s!y(X)
+                Atom("p.a", (Var("x"), Func("f", (Var("x"),)))), (Atom("s!y", (Var("x"),)),)
+            ),
+            parse_rule("p.b(X, Y, Z) :- s!z(X, Y, Z)"),
+            parse_rule("p.b(X, Y, Z) :- s!z(X, Z, Y)"),
+            parse_rule("p.b(X, Y, Z) :- s!z(Y, X, Z)"),
+        ],
+        query=parse_query("q(A, E) :- p.a(A, E), p.b(A, C, D)"),
+        prune=True, minimize=False, indexed=True, max_depth=5, max_rule_uses=2,
+        max_rewritings=2,
+    )
     def test_same_rewritings_and_counters(
         self, rules, query, prune, minimize, indexed, max_depth, max_rule_uses,
         max_rewritings,
     ):
-        options = dict(
-            prune=prune, minimize=minimize, max_depth=max_depth,
-            max_rule_uses=max_rule_uses, max_rewritings=max_rewritings,
-            index=MappingIndex(rules, _EDB) if indexed else None,
+        _assert_matches_oracle(
+            query, rules, _EDB, prune=prune, minimize=minimize, indexed=indexed,
+            max_depth=max_depth, max_rule_uses=max_rule_uses,
+            max_rewritings=max_rewritings,
         )
-        expected = _reference_reformulate(query, rules, _EDB, **options)
-        actual = reformulate(query, rules, _EDB, **options)
-        assert [r.canonical() for r in actual.rewritings] == [
-            r.canonical() for r in expected.rewritings
-        ]
-        for counter in (
-            "nodes_expanded", "nodes_pruned", "rules_skipped", "index_hits",
-            "depth_limit_hit",
-        ):
-            assert getattr(actual, counter) == getattr(expected, counter), counter
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        join=_joins(),
+        minimize=st.booleans(),
+        indexed=st.booleans(),
+        max_depth=st.integers(2, 6),
+        max_rule_uses=st.integers(1, 2),
+        max_rewritings=st.sampled_from([3, 10_000]),
+    )
+    def test_tabled_joins_match_the_oracle(
+        self, join, minimize, indexed, max_depth, max_rule_uses, max_rewritings
+    ):
+        # Atoms over two mapping families, which a rare rule links: the
+        # later atoms' goals are the ones a table is replayed for.
+        rules, query = join
+        _assert_matches_oracle(
+            query, rules, _FAMILY_EDB, prune=True, minimize=minimize,
+            indexed=indexed, max_depth=max_depth, max_rule_uses=max_rule_uses,
+            max_rewritings=max_rewritings,
+        )
+
+
+def _assert_matches_oracle(query, rules, edb, prune, indexed, **options):
+    options.update(prune=prune, index=MappingIndex(rules, edb) if indexed else None)
+    expected = _reference_reformulate(query, rules, edb, **options)
+    actual = reformulate(query, rules, edb, **options)
+    assert [r.canonical() for r in actual.rewritings] == [
+        r.canonical() for r in expected.rewritings
+    ]
+    assert actual.depth_limit_hit == expected.depth_limit_hit
+    if prune:
+        assert actual.nodes_expanded <= expected.nodes_expanded
+        return
+    for counter in ("nodes_expanded", "nodes_pruned", "rules_skipped", "index_hits"):
+        assert getattr(actual, counter) == getattr(expected, counter), counter
 
 
 # -- differential: the chase -----------------------------------------------------
