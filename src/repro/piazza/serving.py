@@ -22,6 +22,12 @@ front, composing the four prior scale layers:
   (incremental delta-join vs recompute), and syntactically shared
   rewritings (up to renaming) are materialized **once** however many
   registrations they back;
+* each registration keeps a **support-counted union** of its views'
+  extents — per answer row, the number of its views that hold it (the
+  counting algorithm of Gupta, Mumick & Subrahmanian, *Maintaining
+  Views Incrementally*, SIGMOD 1993, applied one level up) — updated at
+  write time from the :class:`~repro.piazza.updates.ViewDelta`\\ s that
+  maintenance produces, so no read re-unions the views;
 * update propagation is charged to the
   :class:`~repro.piazza.network.SimulatedNetwork` **batched per
   subscriber peer**: one round trip carries all the deltas a peer's
@@ -38,8 +44,10 @@ front, composing the four prior scale layers:
 
 Reads go through :meth:`DistributedExecutor.execute(..., views=server)
 <repro.piazza.execution.DistributedExecutor.execute>`: a registered
-(α-renamed-equal) query is answered from the fresh materialization with
-zero reformulation and zero fetch round trips.  Freshness is
+(α-renamed-equal) query is answered with zero reformulation and zero
+fetch round trips.  A read is a freshness check plus a copy of the
+registration's maintained union; the union itself is updated at write
+time from the view deltas.  Freshness is
 structural, not hoped-for: the server tracks the data epoch of every
 peer it materialized from and the PDMS topology version its plans were
 compiled against.  A peer mutated outside the updategram pipeline makes
@@ -59,6 +67,7 @@ streams, including multi-derivation deletes and self-join views.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -174,6 +183,10 @@ class ViewServer:
         # qualified stored relation -> rewriting keys that mention it
         self._subscribers: dict[str, set] = {}
         self._registrations: dict[tuple, ServedQuery] = {}
+        # registration key -> {answer row: how many of its views hold the
+        # row} — the support-counted union serve() copies, kept current
+        # at write time from the views' deltas
+        self._unions: dict[tuple, Counter] = {}
         # data epochs of the peers we materialized from, maintained
         # through the updategram pipeline; serve() refuses on mismatch.
         self._epochs: dict[str, int] = {}
@@ -200,18 +213,20 @@ class ViewServer:
         ) as span:
             result = self.pdms.reformulate(query, **self.reformulation_options)
             span.annotate(rewritings=len(result.rewritings))
-            view_keys: list = []
+            # insertion-ordered sets: a list `in` test per rewriting would
+            # be quadratic in the number of rewritings
+            view_keys: dict = {}
             relations: set = set()
-            fresh_predicates: list = []
+            fresh_predicates: dict = {}
             new_vkeys: set = set()
             for rewriting in result.rewritings:
                 vkey = rewriting.canonical()
                 predicates = frozenset(atom.predicate for atom in rewriting.body)
                 if vkey not in self._views:
                     new_vkeys.add(vkey)
+                    # IncrementalView copies each live relation it is given.
                     instance = {
-                        predicate: set(self.executor._stored_tuples(predicate))
-                        for predicate in predicates
+                        predicate: self._stored(predicate) for predicate in predicates
                     }
                     self._views[vkey] = IncrementalView(rewriting, instance)
                     self._view_relations[vkey] = predicates
@@ -220,13 +235,10 @@ class ViewServer:
                     self._view_counter += 1
                     for predicate in predicates:
                         self._subscribers.setdefault(predicate, set()).add(vkey)
-                    fresh_predicates.extend(
-                        p for p in predicates if p not in fresh_predicates
-                    )
+                    fresh_predicates.update(dict.fromkeys(predicates))
                     self.stats.rewritings_materialized += 1
                 self._view_regs[vkey].add(key)
-                if vkey not in view_keys:
-                    view_keys.append(vkey)
+                view_keys[vkey] = None
                 relations |= predicates
             # Pay the placement cost: one round trip per remote peer for the
             # relations fetched fresh here (shared views were already paid
@@ -248,6 +260,11 @@ class ViewServer:
                     # grams — re-read them now.  The views built in this
                     # very call came from live data and are skipped.
                     self._resync(owner, fresh=new_vkeys)
+            # Built after the repairs above, so it counts repaired extents.
+            union: Counter = Counter()
+            for vkey in view_keys:
+                union.update(self._views[vkey].tuples())
+            self._unions[key] = union
             registration = ServedQuery(
                 peer=peer,
                 query=query,
@@ -283,6 +300,7 @@ class ViewServer:
         registration = self._registrations.pop(key, None)
         if registration is None:
             return False
+        del self._unions[key]
         for vkey in registration.view_keys:
             backers = self._view_regs.get(vkey)
             if backers is None:
@@ -315,6 +333,10 @@ class ViewServer:
     def serve(self, query: str | ConjunctiveQuery, at_peer: str) -> set | None:
         """Fresh answers for a registered query, or ``None`` to fall back.
 
+        A read is a freshness check — registration, topology version,
+        then every backing owner's data epoch — plus a copy of the
+        registration's support-counted union.  The union is updated at
+        write time from the view deltas, so no view is looked at here.
         ``None`` means "not registered here" *or* "some backing peer
         mutated outside the updategram pipeline" — either way the
         caller's full reformulate-and-fetch path takes over, so a stale
@@ -322,7 +344,8 @@ class ViewServer:
         """
         if isinstance(query, str):
             query = self.pdms.query(query)
-        registration = self._registrations.get((at_peer,) + query.canonical())
+        key = (at_peer,) + query.canonical()
+        registration = self._registrations.get(key)
         if registration is None:
             self.stats.misses += 1
             self._m_misses.inc()
@@ -342,10 +365,8 @@ class ViewServer:
                 return None
         self.stats.queries_served += 1
         self._m_served.inc()
-        answers: set = set()
-        for vkey in registration.view_keys:
-            answers |= self._views[vkey].tuples()
-        return answers
+        # A copy: a caller that mutates its answers cannot reach the union.
+        return set(self._unions[key])
 
     def serve_brute_force(
         self, query: str | ConjunctiveQuery, at_peer: str
@@ -367,6 +388,7 @@ class ViewServer:
         """
         self.pdms.unsubscribe_updates(self._on_updategram)
         self._registrations.clear()
+        self._unions.clear()
         self._views.clear()
         self._view_relations.clear()
         self._view_regs.clear()
@@ -400,9 +422,12 @@ class ViewServer:
                 if not owned:
                     continue
                 view = self._views[vkey]
+                before = view.tuples()
                 for predicate in owned:
                     view.instance[predicate] = set(self._stored(predicate))
                 view._recompute_counts()
+                after = view.tuples()
+                self._fold_into_unions(vkey, after - before, before - after)
                 refreshed.add(vkey)
                 for reg_key in self._view_regs[vkey]:
                     needed_by_peer.setdefault(reg_key[0], set()).update(owned)
@@ -467,14 +492,38 @@ class ViewServer:
             self.stats.latency_ms += cost
             span.annotate(overlapped_ms=round(cost, 3))
 
+    def _fold_into_unions(self, vkey: tuple, inserted, deleted) -> None:
+        """Fold one view's delta into the unions of its registrations.
+
+        Each union row counts the registration's views that hold it
+        (Gupta, Mumick & Subrahmanian's counting, one level up): +1 per
+        inserted row, -1 per deleted row, and a row leaves the union
+        when its count reaches 0.  Registrations ``register`` has not
+        filed yet have no union and are skipped; it builds theirs from
+        the repaired extents.
+        """
+        if not (inserted or deleted):
+            return
+        for reg_key in self._view_regs[vkey]:
+            union = self._unions.get(reg_key)
+            if union is None:
+                continue
+            union.update(inserted)
+            for row in deleted:
+                if union[row] == 1:
+                    del union[row]
+                else:
+                    union[row] -= 1
+
     def _maintain(self, ordered: list, qualified: Updategram) -> list:
         """Maintain the affected views, one runtime task per view.
 
         Each view owns its shadow instance and derivation counts, so
         maintenance tasks are independent; each makes its own
-        cost-based incremental-vs-recompute choice.  Strategies come
-        back in creation order (the runtime's order-stable contract)
-        and all serving stats are applied by the caller afterwards.
+        cost-based incremental-vs-recompute choice.  ``(strategy,
+        delta)`` pairs come back in creation order (the runtime's
+        order-stable contract); the caller applies all serving stats
+        and folds the deltas into the unions afterwards.
         """
 
         def _maintain_view(vkey):
@@ -483,9 +532,9 @@ class ViewServer:
             with self.obs.tracer.span(
                 "serving.maintain", view=view.query.head.predicate
             ) as span:
-                strategy, _delta = view.maintain(restricted)
+                strategy, delta = view.maintain(restricted)
                 span.annotate(strategy=strategy)
-            return strategy
+            return strategy, delta
 
         with self.obs.tracer.span(
             "serving.maintain_batch",
@@ -553,8 +602,9 @@ class ViewServer:
             # Maintain each shared view once, in creation order — ordered via
             # the per-view index, without scanning the whole view table.
             ordered = sorted(affected, key=self._view_order.__getitem__)
-            strategies = self._maintain(ordered, qualified) if ordered else []
-            for strategy in strategies:
+            results = self._maintain(ordered, qualified) if ordered else []
+            for vkey, (strategy, delta) in zip(ordered, results):
+                self._fold_into_unions(vkey, delta.inserted, delta.deleted)
                 self.stats.views_maintained += 1
                 self._m_maintained.inc()
                 if strategy == "incremental":

@@ -176,10 +176,13 @@ class IncrementalView:
 
     def _fold(self, gram: Updategram, new: Instance) -> ViewDelta:
         """Apply ``gram`` to ``new`` (a copy of the instance) and fold
-        the delta passes into the counts."""
+        the delta passes into the counts.
+
+        Only the heads the passes reached can change, so the counts are
+        updated in place for those heads and the view delta is read off
+        their counts before and after: O(delta), not O(extent)."""
         old = self.instance
         gram.apply_to(new)
-        before = self.tuples()
         delta_counts: Counter[tuple] = Counter()
         tables: dict = {}  # old, new and the deltas stay unchanged from here
         for index, plan in enumerate(self._delta_plans):
@@ -201,11 +204,21 @@ class IncrementalView:
                 for head in heads:
                     delta_counts[head] += sign
 
-        self.counts.update(delta_counts)
-        self.counts = +self.counts  # drop zero/negative entries
+        counts = self.counts
+        delta = ViewDelta()
+        for head, change in delta_counts.items():
+            was = counts.get(head, 0)
+            now = was + change
+            if now > 0:
+                counts[head] = now
+                if was <= 0:
+                    delta.inserted.add(head)
+            else:
+                counts.pop(head, None)  # drop zero/negative entries
+                if was > 0:
+                    delta.deleted.add(head)
         self.instance = new
-        after = self.tuples()
-        return ViewDelta(inserted=after - before, deleted=before - after)
+        return delta
 
     # -- the baseline the paper argues against -----------------------------------
     def recompute(self, gram: Updategram) -> ViewDelta:

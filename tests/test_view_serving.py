@@ -5,11 +5,17 @@ interleaved query/update stream, :meth:`ViewServer.serve` answers are
 set-identical to :meth:`ViewServer.serve_brute_force` (invalidate
 everything + fresh reformulate/execute — the baseline the paper
 rejects), including multi-derivation deletes and self-join views.
+``serve`` copies a support-counted union kept at write time, so a
+hypothesis law also pins every served answer to a from-scratch union of
+its views' extents across register/unregister, out-of-band repairs and
+re-registration after a topology change.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.pdms_gen import random_tree_pdms, update_stream
 from repro.piazza import (
@@ -20,6 +26,7 @@ from repro.piazza import (
     ViewServer,
 )
 from repro.piazza.peer import PdmsError
+from repro.piazza.updates import IncrementalView
 
 
 def chain_pdms_small() -> PDMS:
@@ -406,6 +413,151 @@ class TestInterleavedStreamParity:
                 == server.serve_brute_force(query, peer_name).answers
             )
         assert server.stats.stale_refusals == 0
+
+
+def union_pdms() -> PDMS:
+    """The course chain plus the edge peer: projections with several
+    derivations per answer, a self-join, and one peer per view group."""
+    pdms = chain_pdms_small()
+    peer = pdms.add_peer("g")
+    peer.add_relation("edge", ["src", "dst"])
+    peer.add_stored("e", ["src", "dst"])
+    pdms.add_storage("g", "e", "g.edge")
+    peer.insert("e", [(1, 2), (2, 3)])
+    return pdms
+
+
+UNION_QUERIES = [
+    ("uw", "q(T) :- uw.course(I, T)"),
+    ("uw", "q(I) :- uw.course(I, T)"),
+    ("berkeley", "q(T) :- berkeley.course(I, T)"),
+    ("mit", "q(I, T) :- mit.course(I, T)"),
+    ("g", "q(X) :- g.edge(X, Y)"),
+    ("g", "q(X, Z) :- g.edge(X, Y), g.edge(Y, Z)"),
+]
+# Small domains, so grams delete live rows and answers have several
+# derivations (several views, or several rows per view).
+ROWS = st.lists(st.integers(0, 15), max_size=3)
+UNION_STEPS = st.one_of(
+    st.tuples(st.just("register"), st.integers(0, len(UNION_QUERIES) - 1)),
+    st.tuples(st.just("unregister"), st.integers(0, len(UNION_QUERIES) - 1)),
+    st.tuples(st.just("gram"), st.integers(0, 7), ROWS, ROWS),
+    st.tuples(st.just("oob_then_gram"), st.integers(0, 7), ROWS, ROWS),
+    st.tuples(
+        st.just("oob_then_register"), st.integers(0, 7), ROWS,
+        st.integers(0, len(UNION_QUERIES) - 1),
+    ),
+    st.tuples(st.just("add_mapping"), ROWS),
+)
+
+
+def _rows(owner: str, picks: list) -> list:
+    """Deterministic rows of ``owner``'s stored relation from small ints."""
+    if owner == "g":
+        return [(pick % 4, pick // 4 % 4) for pick in picks]
+    return [(pick % 5, ("DB", "OS", "AI")[pick % 3]) for pick in picks]
+
+
+class TestSupportCountedUnion:
+    """``serve`` returns a union kept at write time; it must equal a
+    from-scratch union of the views and the brute-force re-answer."""
+
+    @staticmethod
+    def check(server, stale_owners):
+        for registration in server.registrations():
+            peer, query = registration.peer, registration.query
+            served = server.serve(query, peer)
+            if served is None:  # refused: only for a bypassed owner
+                assert registration.owners & stale_owners
+                continue
+            registration = server._registrations[(peer,) + query.canonical()]
+            rebuilt = set().union(
+                *(server._views[vkey].tuples() for vkey in registration.view_keys)
+            )
+            assert served == rebuilt
+            assert served == server.serve_brute_force(query, peer).answers
+
+    @given(st.lists(UNION_STEPS, max_size=14))
+    @settings(max_examples=60, deadline=None)
+    def test_union_equals_rebuild_and_brute_force(self, steps):
+        pdms = union_pdms()
+        server = ViewServer(DistributedExecutor(pdms))
+        owners = ["uw", "berkeley", "mit", "g"]
+        stale_owners: set = set()  # owners mutated out of band, not yet repaired
+        server.register(*UNION_QUERIES[0])
+        server.register(*UNION_QUERIES[5])
+        self.check(server, stale_owners)
+        for step in steps:
+            kind = step[0]
+            if kind == "register":
+                server.register(*UNION_QUERIES[step[1]])
+            elif kind == "unregister":
+                server.unregister(*UNION_QUERIES[step[1]])
+            elif kind in ("gram", "oob_then_gram"):
+                owner = owners[step[1] % len(owners)]
+                relation = "e" if owner == "g" else "c"
+                if kind == "oob_then_gram":
+                    pdms.peers[owner].insert(relation, _rows(owner, step[2][:1]))
+                pdms.apply_updategram(
+                    owner,
+                    Updategram()
+                    .insert(relation, _rows(owner, step[2]))
+                    .delete(relation, _rows(owner, step[3])),
+                )
+                stale_owners.discard(owner)
+            elif kind == "oob_then_register":
+                owner = owners[step[1] % len(owners)]
+                relation = "e" if owner == "g" else "c"
+                pdms.peers[owner].insert(relation, _rows(owner, step[2]))
+                stale_owners.add(owner)
+                server.register(*UNION_QUERIES[step[3]])
+            elif len(owners) < 6:  # add_mapping: a new peer joins the chain
+                name = f"x{len(owners)}"
+                peer = pdms.add_peer(name)
+                peer.add_relation("course", ["id", "title"])
+                peer.add_stored("c", ["id", "title"])
+                pdms.add_storage(name, "c", f"{name}.course")
+                peer.insert("c", _rows(name, step[1]))
+                pdms.add_mapping(
+                    f"m_{name}", "m(I, T) :- mit.course(I, T)",
+                    f"m(I, T) :- {name}.course(I, T)", exact=True,
+                )
+                owners.append(name)
+            self.check(server, stale_owners)
+        # A gram to each bypassed owner repairs it: everything serves again.
+        for owner in sorted(stale_owners):
+            relation = "e" if owner == "g" else "c"
+            pdms.apply_updategram(owner, Updategram().insert(relation, _rows(owner, [0])))
+        self.check(server, set())
+
+    def test_serve_reads_no_view(self, monkeypatch):
+        pdms = union_pdms()
+        server = ViewServer(DistributedExecutor(pdms))
+        for peer, query in UNION_QUERIES:
+            server.register(peer, query)
+        pdms.apply_updategram("mit", Updategram().insert("c", [(4, "ML")]))
+        calls = []
+        tuples = IncrementalView.tuples
+
+        def counted(view):
+            calls.append(view)
+            return tuples(view)
+
+        monkeypatch.setattr(IncrementalView, "tuples", counted)
+        for peer, query in UNION_QUERIES:
+            assert server.serve(query, peer) is not None
+        assert calls == []
+
+    def test_mutating_served_answers_leaves_the_server_intact(self):
+        pdms = chain_pdms_small()
+        executor = DistributedExecutor(pdms)
+        server = ViewServer(executor)
+        query = "q(T) :- uw.course(I, T)"
+        server.register("uw", query)
+        first = server.serve(query, "uw")
+        first.clear()
+        executor.execute(query, "uw", views=server).answers.add(("Forged",))
+        assert server.serve(query, "uw") == {("DB",), ("OS",), ("AI",)}
 
 
 class TestUpdateStreamGenerator:
