@@ -18,8 +18,8 @@ Substrates built from scratch for the above:
   for the annotation repository, as in the paper's Jena-over-RDBMS setup).
 * :mod:`repro.rdf` -- a triple store with provenance and graph-pattern
   queries.
-* :mod:`repro.xmlmodel` -- XML trees, DTD-subset schemas (Figure 3), path
-  expressions and the template mapping language of Figure 4.
+* :mod:`repro.xmlmodel` -- XML trees, DTD-subset schemas (Figure 3) and
+  the template mapping language of Figure 4, compiled to Piazza mappings.
 
 :mod:`repro.core` exposes :class:`~repro.core.revere.RevereSystem`, a
 facade wiring the components together as in Figure 1 of the paper.

@@ -82,6 +82,7 @@ class CorpusMatchPipeline:
         self.stats = BasicStatistics(
             self.training, options or StatisticsOptions(synonyms=synonyms)
         )
+        self.stats.configure_engine(obs=self.obs)
         self._labels_by_source: dict[str, frozenset[str]] = {}
         self._sample_count = 0
         self.counters = {

@@ -16,6 +16,7 @@ path must be pinned to the seed per-sample implementation it replaces.
 
 import pytest
 
+from repro import obs
 from repro.corpus.match import CorpusMatchPipeline, MetaLearner, samples_of
 from repro.corpus.match.learners import ElementSample, format_features
 from repro.corpus.match.lsd import default_learners
@@ -237,6 +238,19 @@ class TestPipelineParity:
         # everywhere and prunes the label space.
         assert snapshot["blocked_sources"] == snapshot["sources_matched"]
         assert snapshot["label_fraction_scored"] < 1.0
+
+
+class TestIsolatedObservability:
+    def test_isolated_pipeline_books_nothing_on_the_default_registry(self, workload):
+        isolated = obs.Observability()
+        before = obs.default().metrics.snapshot()
+        pipeline = CorpusMatchPipeline(workload.mediated, obs=isolated)
+        for schema, mapping in workload.training:
+            pipeline.add_training_source(schema, mapping)
+        pipeline.match_corpus(workload.corpus)
+        assert pipeline.stats.engine.obs is isolated
+        assert isolated.metrics.snapshot()["counters"]["search.queries"] > 0
+        assert obs.default().metrics.snapshot() == before
 
 
 class TestIncrementalTraining:

@@ -1,7 +1,12 @@
-"""Tests for the XML tree, parser, DTDs, paths and template mappings."""
+"""Tests for the XML tree, parser, DTDs and template mappings."""
+
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.piazza import PDMS
 from repro.xmlmodel import (
     Dtd,
     DtdError,
@@ -10,8 +15,8 @@ from repro.xmlmodel import (
     XmlParseError,
     element,
     parse_dtd,
-    parse_path,
     parse_xml,
+    shred,
 )
 
 BERKELEY_DTD = """
@@ -113,39 +118,6 @@ class TestTree:
         assert parse_xml(pretty) == root
 
 
-class TestPaths:
-    @pytest.fixture
-    def doc(self):
-        return parse_xml(BERKELEY_DOC)
-
-    def test_absolute_path(self, doc):
-        depts = parse_path("/schedule/college/dept").evaluate(doc)
-        assert len(depts) == 2
-
-    def test_text_extraction(self, doc):
-        titles = parse_path("/schedule/college/dept/course/title/text()").evaluate(doc)
-        assert titles == ["Databases", "Operating Systems", "Statics"]
-
-    def test_relative_path(self, doc):
-        dept = parse_path("/schedule/college/dept").first(doc)
-        names = parse_path("name/text()").evaluate(dept)
-        assert names == ["EECS"]
-
-    def test_descendant_axis(self, doc):
-        sizes = parse_path("//size/text()").evaluate(doc)
-        assert sizes == ["100", "80", "60"]
-
-    def test_wildcard(self, doc):
-        children = parse_path("/schedule/college/*").evaluate(doc)
-        assert [node.tag for node in children] == ["name", "dept", "dept"]
-
-    def test_absolute_root_mismatch(self, doc):
-        assert parse_path("/catalog/course").evaluate(doc) == []
-
-    def test_str_roundtrip(self):
-        assert str(parse_path("/a/b/text()")) == "/a/b/text()"
-
-
 class TestDtd:
     def test_parse_figure3_syntax(self):
         dtd = parse_dtd(BERKELEY_DTD)
@@ -239,3 +211,104 @@ class TestFigure4Mapping:
         template = '<out><row> {$d = document("d.xml")/r/item} </row></out>'
         result = TemplateMapping.parse(template).apply({"d.xml": parse_xml("<r/>")})
         assert result.child_elements("row") == []
+
+
+def _figure4_pdms(document):
+    """Berkeley's document shredded on its own peer, Figure 4 compiled to
+    mappings into MIT's schema, both registered on one PDMS."""
+    pdms = PDMS()
+    shred(pdms, "Berkeley", document)
+    mapping = TemplateMapping.parse(FIGURE4_MAPPING)
+    for compiled in mapping.to_mappings("MIT", {"Berkeley.xml": "Berkeley"}):
+        pdms.add_mapping(compiled.name, compiled.source, compiled.target)
+    return pdms
+
+
+_NAMES = st.sampled_from(["EECS", "CivE", "Math"])
+_COURSES = st.lists(
+    st.tuples(st.sampled_from(["Databases", "Statics"]), st.sampled_from(["60", "100"])),
+    max_size=4,
+)
+_SCHEDULES = st.lists(st.lists(st.tuples(_NAMES, _COURSES), max_size=3), max_size=3)
+
+
+class TestFigure4Compiled:
+    def test_shred_numbers_elements_in_preorder(self):
+        pdms = PDMS()
+        peer = shred(pdms, "d", parse_xml("<r><a> x </a><b><c>y</c></b></r>"))
+        assert sorted(peer.data["el"]) == [
+            (1, 0, "r"), (2, 1, "a"), (3, 1, "b"), (4, 3, "c"),
+        ]
+        assert sorted(peer.data["txt"]) == [(1, ""), (2, "x"), (3, ""), (4, "y")]
+
+    def test_each_binding_compiles_to_one_mapping(self):
+        mapping = TemplateMapping.parse(FIGURE4_MAPPING)
+        course, subject = mapping.to_mappings("MIT", {"Berkeley.xml": "Berkeley"})
+        assert [m.target.body[0].predicate for m in (course, subject)] == [
+            "MIT.course", "MIT.subject",
+        ]
+        # own id + name; own id + the course's id + title + enrollment
+        assert [len(m.target.head.args) for m in (course, subject)] == [2, 4]
+        tags = [atom.args[2] for atom in subject.source.body if atom.predicate == "Berkeley!el"]
+        assert tags == ["schedule", "college", "dept", "course", "title", "size"]
+
+    def test_dept_without_name_keeps_its_subjects(self):
+        pdms = _figure4_pdms(parse_xml(
+            "<schedule><college><name>E</name><dept>"
+            "<course><title>Statics</title><size>60</size></course>"
+            "</dept></college></schedule>"
+        ))
+        assert pdms.answer("q(T, E) :- MIT.subject(S, C, T, E)") == {("Statics", "60")}
+        assert pdms.answer("q(C) :- MIT.course(C, N)") == set()
+
+    def test_query_at_a_third_peer_composes_through_figure4(self):
+        pdms = _figure4_pdms(parse_xml(BERKELEY_DOC))
+        pdms.add_peer("Stanford").add_relation("offering", ["dept", "title", "size"])
+        pdms.add_mapping(
+            "mit_stanford",
+            "m(N, T, E) :- MIT.course(C, N), MIT.subject(S, C, T, E)",
+            "m(N, T, E) :- Stanford.offering(N, T, E)",
+        )
+        query = "q(N, T, E) :- Stanford.offering(N, T, E)"
+        expected = {
+            ("EECS", "Databases", "100"),
+            ("EECS", "Operating Systems", "80"),
+            ("CivE", "Statics", "60"),
+        }
+        assert pdms.answer(query) == expected
+        assert pdms.certain(query) == expected
+
+    @pytest.mark.parametrize(
+        "template, construct",
+        [
+            ('<out><row> {$d = document("d.xml")//item} </row></out>', "//"),
+            ('<out><row> {$d = document("d.xml")/r/*} </row></out>', "*"),
+            ('<out> {$d = document("d.xml")/r} <v> $d//x/text() </v> </out>', "//"),
+        ],
+    )
+    def test_uncompilable_path_names_the_construct(self, template, construct):
+        with pytest.raises(MappingError, match=f"'{re.escape(construct)}'"):
+            TemplateMapping.parse(template)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SCHEDULES)
+    def test_apply_equals_hand_built_mit_tree(self, colleges):
+        # Depts with no courses and repeated (title, size) pairs: the
+        # cases where set-valued answers could drop or merge rows.
+        berkeley = element("schedule")
+        mit = element("catalog")
+        for number, depts in enumerate(colleges):
+            college = element("college", element("name", f"College{number}"))
+            for name, courses in depts:
+                college.append(element("dept", element("name", name), *(
+                    element("course", element("title", title), element("size", size))
+                    for title, size in courses
+                )))
+                mit.append(element("course", element("name", name), *(
+                    element("subject", element("title", title), element("enrollment", size))
+                    for title, size in courses
+                )))
+            berkeley.append(college)
+        result = TemplateMapping.parse(FIGURE4_MAPPING).apply({"Berkeley.xml": berkeley})
+        assert result == mit
+        assert result.serialize() == mit.serialize()
