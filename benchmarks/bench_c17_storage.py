@@ -15,8 +15,8 @@ peers in quick mode, which CI runs as the blocking
   snapshotting bounds the replayed WAL tail (strictly fewer replayed
   records than the snapshot-free configuration).  Reported: wall-clock
   recovery time for the full network, per configuration.
-* **per-shard query scaling** — the network's stored rows loaded into
-  one :class:`~repro.relational.table.Table` per engine.  Asserted:
+* **per-shard query scaling** — the network's stored rows appended to
+  each engine directly.  Asserted:
   every :class:`~repro.storage.engine.ShardedEngine` scan is
   row-for-row identical to the :class:`MemoryEngine` oracle, and the
   hash partitioning is balanced (max shard <= 2x the ideal share).
@@ -35,7 +35,6 @@ from pathlib import Path
 from repro.bench import ResultTable
 from repro.datasets.pdms_gen import random_tree_pdms, update_stream
 from repro.piazza.peer import Peer
-from repro.relational import ColumnType, Database
 from repro.storage import LogEngine, MemoryEngine, PeerLog, ShardedEngine
 
 QUICK = os.environ.get("BENCH_C17_QUICK", "") not in ("", "0")
@@ -84,16 +83,16 @@ def _stored_rows(pdms) -> list[tuple]:
     ]
 
 
-def _row_table(engine):
-    return Database("c17").create_table(
-        "rows",
-        [
-            ("peer", ColumnType.TEXT),
-            ("relation", ColumnType.TEXT),
-            ("row", ColumnType.ANY),
-        ],
-        engine=engine,
-    )
+def _row_engine(engine, rows):
+    """``engine`` holding ``rows`` as ``(peer, relation, row)`` tuples,
+    appended one by one (one WAL record each on a durable engine)."""
+    for row in rows:
+        engine.append(row)
+    return engine
+
+
+def _scan_rows(engine) -> list[tuple]:
+    return [row for _row_id, row in engine.scan()]
 
 
 class TestC17Storage:
@@ -166,9 +165,7 @@ class TestC17Storage:
     def test_row_table_recovery_and_shard_scaling(self):
         pdms = _network()
         rows = _stored_rows(pdms)
-        oracle = _row_table(MemoryEngine())
-        for row in rows:
-            oracle.insert(row)
+        oracle = _row_engine(MemoryEngine(), rows)
 
         # -- durable table: restart recovery time, snapshot bounding ------
         table = ResultTable(
@@ -178,21 +175,18 @@ class TestC17Storage:
         replayed = {}
         for config, checkpoint in (("wal replay", False), ("snapshot", True)):
             directory = _fresh_scratch(f"table-{config.replace(' ', '-')}")
-            engine = LogEngine(directory, name="rows", snapshot_every=None)
-            durable = _row_table(engine)
-            for row in rows:
-                durable.insert(row)
+            durable = _row_engine(
+                LogEngine(directory, name="rows", snapshot_every=None), rows
+            )
             if checkpoint:
                 durable.checkpoint()
             durable.close()
             started = time.perf_counter()
-            recovered_engine = LogEngine(directory, name="rows",
-                                         snapshot_every=None)
-            recovered = _row_table(recovered_engine)
+            recovered = LogEngine(directory, name="rows", snapshot_every=None)
             recovery_ms = (time.perf_counter() - started) * 1000.0
-            assert list(recovered.raw_scan()) == list(oracle.raw_scan())
-            replayed[config] = recovered_engine.replayed_records
-            table.add_row(config, len(recovered), recovered_engine.replayed_records,
+            assert _scan_rows(recovered) == _scan_rows(oracle)
+            replayed[config] = recovered.replayed_records
+            table.add_row(config, len(recovered), recovered.replayed_records,
                           recovery_ms)
             recovered.close()
         assert replayed["snapshot"] == 0 < replayed["wal replay"]
@@ -205,15 +199,12 @@ class TestC17Storage:
              "one shard (ms)", "scan ratio"],
         )
         full_started = time.perf_counter()
-        full_rows = list(oracle.raw_scan())
+        full_rows = _scan_rows(oracle)
         full_ms = (time.perf_counter() - full_started) * 1000.0
         for shard_count in SHARDS:
-            engine = ShardedEngine(shards=shard_count)
-            sharded = _row_table(engine)
-            for row in rows:
-                sharded.insert(row)
+            engine = _row_engine(ShardedEngine(shards=shard_count), rows)
             # Parity: the merge scan is row-for-row the memory oracle.
-            assert list(sharded.raw_scan()) == full_rows
+            assert _scan_rows(engine) == full_rows
             sizes = engine.shard_sizes()
             assert sum(sizes) == len(rows)
             ideal = len(rows) / shard_count

@@ -14,10 +14,9 @@ The package implements the three components of the REVERE system:
 Substrates built from scratch for the above:
 
 * :mod:`repro.text` -- tokenization, stemming, string similarity, TF/IDF.
-* :mod:`repro.relational` -- typed tables with keys and hash indexes (storage
-  for the annotation repository, as in the paper's Jena-over-RDBMS setup).
 * :mod:`repro.rdf` -- a triple store with provenance and graph-pattern
-  queries.
+  queries (the annotation repository, as in the paper's Jena-over-RDBMS
+  setup), its rows held by a :mod:`repro.storage` engine.
 * :mod:`repro.xmlmodel` -- XML trees, DTD-subset schemas (Figure 3) and
   the template mapping language of Figure 4, compiled to Piazza mappings.
 

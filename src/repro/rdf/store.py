@@ -1,8 +1,12 @@
-"""Triple store backed by one relational table.
+"""Triple store over one storage engine and four hash indexes.
 
-The "simple graph representation" of the paper: one ``triples`` table
-with hash indexes on subject, predicate, object and the (subject,
-predicate) pair — the relational analogue of SPO/POS/OSP index triples.
+The "simple graph representation" of the paper: every triple is one
+``(subject, predicate, object, source, timestamp)`` row in a
+:class:`~repro.storage.engine.StorageEngine`, filed by row id under
+four in-memory hash indexes — subject, predicate, the (subject,
+predicate) pair and source.  Row ids grow monotonically and recovery
+rebuilds the indexes in row-id order, so each index bucket (an
+insertion-ordered ``dict[int, None]``) is already ascending.
 
 The delta protocol (PR 4 — the incremental serving layer)
 ---------------------------------------------------------
@@ -41,49 +45,38 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.rdf.triples import Delta, Triple
-from repro.relational import ColumnType, Database
+from repro.storage.engine import MemoryEngine
 from repro.storage.records import encode_delta
 
 
 class TripleStore:
     """Add/remove/match triples; provenance-aware deletion by source.
 
-    ``engine`` plugs a :class:`~repro.storage.engine.StorageEngine`
-    under the triples table: a :class:`~repro.storage.log.LogEngine`
-    makes the store durable (each logical mutation — one ``add_all``,
-    one ``replace_source`` — is exactly one WAL record whose logical
+    ``engine`` is the :class:`~repro.storage.engine.StorageEngine`
+    holding the rows (a :class:`~repro.storage.engine.MemoryEngine` by
+    default): a :class:`~repro.storage.log.LogEngine` makes the store
+    durable (each logical mutation — one ``add_all``, one
+    ``replace_source`` — is exactly one WAL record whose logical
     payload is the same :class:`~repro.rdf.triples.Delta` the
     subscribers receive), a
     :class:`~repro.storage.engine.ShardedEngine` splits the triples
     across shards.  Constructing a store over a recovered engine
-    re-attaches: indexes rebuild from the engine scan and the logical
-    clock resumes past the largest recovered timestamp.
+    re-attaches: one pass over the engine scan rebuilds the indexes and
+    resumes the logical clock past the largest recovered timestamp.
     """
 
     def __init__(self, name: str = "annotations", engine=None):  # noqa: D107
-        self._db = Database(name)
-        self._table = self._db.create_table(
-            "triples",
-            [
-                ("subject", ColumnType.TEXT),
-                ("predicate", ColumnType.TEXT),
-                ("object", ColumnType.ANY),
-                ("source", ColumnType.TEXT),
-                ("ts", ColumnType.INT),
-            ],
-            engine=engine,
-        )
-        self._table.create_hash_index(("subject",))
-        self._table.create_hash_index(("predicate",))
-        self._table.create_hash_index(("subject", "predicate"))
-        self._table.create_hash_index(("source",))
-        self._index_s = self._table.hash_index_for({"subject"})
-        self._index_p = self._table.hash_index_for({"predicate"})
-        self._index_sp = self._table.hash_index_for({"subject", "predicate"})
-        self._index_source = self._table.hash_index_for({"source"})
-        # Resume the logical clock past any recovered rows (fresh
-        # engines scan empty and leave it at zero).
-        self._clock = max((raw[4] for raw in self._table.raw_scan()), default=0)
+        self.name = name
+        self.engine = engine if engine is not None else MemoryEngine()
+        # key -> {row id: None}, ascending; empty buckets are dropped.
+        self._by_subject: dict[str, dict[int, None]] = {}
+        self._by_predicate: dict[str, dict[int, None]] = {}
+        self._by_pair: dict[tuple[str, str], dict[int, None]] = {}
+        self._by_source: dict[str, dict[int, None]] = {}
+        self._clock = 0
+        for row_id, raw in self.engine.scan():
+            self._index(row_id, raw)
+            self._clock = max(self._clock, raw[4])
         # (listener, wants_delta) in subscription order.
         self._listeners: list[tuple[Callable, bool]] = []
         # Triples added with notify=False, owed to the next delta.
@@ -139,17 +132,40 @@ class TripleStore:
                 listener(self)
 
     # -- mutation ---------------------------------------------------------
+    def _buckets(self, raw: tuple) -> tuple:
+        """The four (index, key) pairs a stored row is filed under."""
+        return (
+            (self._by_subject, raw[0]),
+            (self._by_predicate, raw[1]),
+            (self._by_pair, (raw[0], raw[1])),
+            (self._by_source, raw[3]),
+        )
+
+    def _index(self, row_id: int, raw: tuple) -> None:
+        for index, key in self._buckets(raw):
+            index.setdefault(key, {})[row_id] = None
+
+    def _delete(self, row_id: int, raw: tuple) -> Triple:
+        """Delete a live row and unfile it (no notify)."""
+        self.engine.delete(row_id)
+        for index, key in self._buckets(raw):
+            bucket = index[key]
+            del bucket[row_id]
+            if not bucket:
+                del index[key]
+        return Triple(*raw)
+
     def _insert_stamped(self, triple: Triple) -> Triple:
         """Stamp with the next logical timestamp and insert (no notify)."""
+        subject, predicate, source = triple.subject, triple.predicate, triple.source
+        if not (
+            isinstance(subject, str) and isinstance(predicate, str) and isinstance(source, str)
+        ):
+            raise TypeError(f"subject, predicate and source must be str: {triple!r}")
         self._clock += 1
-        stamped = Triple(
-            triple.subject, triple.predicate, triple.object, triple.source, self._clock
-        )
-        self._db.insert(
-            "triples",
-            (stamped.subject, stamped.predicate, stamped.object, stamped.source, stamped.timestamp),
-        )
-        return stamped
+        raw = (subject, predicate, triple.object, source, self._clock)
+        self._index(self.engine.append(raw), raw)
+        return Triple(*raw)
 
     def add(self, triple: Triple, notify: bool = True) -> Triple:
         """Insert one triple; assigns the logical timestamp.
@@ -158,7 +174,7 @@ class TripleStore:
         triple is folded into the *next* delta that fires, so
         incremental subscribers stay eventually consistent.
         """
-        with self._table.engine.batch() as batch:
+        with self.engine.batch() as batch:
             stamped = self._insert_stamped(triple)
             if batch.wants_logical:
                 batch.annotate("delta", encode_delta(Delta(added=(stamped,))))
@@ -172,7 +188,7 @@ class TripleStore:
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples as one batch (single notification)."""
-        with self._table.engine.batch() as batch:
+        with self.engine.batch() as batch:
             stamped = tuple(self._insert_stamped(triple) for triple in triples)
             if stamped and batch.wants_logical:
                 batch.annotate("delta", encode_delta(Delta(added=stamped)))
@@ -191,12 +207,11 @@ class TripleStore:
     def remove(self, subject: str, predicate: str, obj: object) -> int:
         """Delete matching (s, p, o) triples regardless of source."""
         removed: list[Triple] = []
-        with self._table.engine.batch() as batch:
-            for row_id in sorted(self._index_sp.lookup((subject, predicate))):
-                raw = self._table.raw_row(row_id)
-                if raw is not None and raw[2] == obj:
-                    self._table.delete_row(row_id)
-                    removed.append(self._triple_of(raw))
+        with self.engine.batch() as batch:
+            for row_id in tuple(self._by_pair.get((subject, predicate), ())):
+                raw = self.engine.get(row_id)
+                if raw[2] == obj:
+                    removed.append(self._delete(row_id, raw))
             if removed and batch.wants_logical:
                 batch.annotate("delta", encode_delta(Delta(removed=tuple(removed))))
         if removed:
@@ -224,17 +239,14 @@ class TripleStore:
         kept: Counter = Counter()
         removed: list[Triple] = []
         added: list[Triple] = []
-        with self._table.engine.batch() as batch:
-            for row_id in sorted(self._index_source.lookup((source,))):
-                raw = self._table.raw_row(row_id)
-                if raw is None:
-                    continue
+        with self.engine.batch() as batch:
+            for row_id in tuple(self._by_source.get(source, ())):
+                raw = self.engine.get(row_id)
                 spo = (raw[0], raw[1], raw[2])
                 if kept[spo] < new_counts[spo]:
                     kept[spo] += 1  # earliest copies survive, timestamps intact
                 else:
-                    self._table.delete_row(row_id)
-                    removed.append(self._triple_of(raw))
+                    removed.append(self._delete(row_id, raw))
             for triple in fresh:
                 spo = triple.spo()
                 if kept[spo] > 0:
@@ -249,25 +261,6 @@ class TripleStore:
         return delta
 
     # -- access -------------------------------------------------------------
-    @staticmethod
-    def _triple_of(raw: tuple) -> Triple:
-        return Triple(str(raw[0]), str(raw[1]), raw[2], str(raw[3]), int(raw[4]))  # type: ignore[arg-type]
-
-    def _candidate_ids(
-        self, subject: str | None, predicate: str | None, source: str | None
-    ) -> Iterable[int] | None:
-        """Row ids from the narrowest applicable index bucket (sorted), or
-        None when no constant is index-servable (full scan)."""
-        if subject is not None and predicate is not None:
-            return sorted(self._index_sp.lookup((subject, predicate)))
-        if subject is not None:
-            return sorted(self._index_s.lookup((subject,)))
-        if predicate is not None:
-            return sorted(self._index_p.lookup((predicate,)))
-        if source is not None:
-            return sorted(self._index_source.lookup((source,)))
-        return None
-
     def match(
         self,
         subject: str | None = None,
@@ -282,16 +275,21 @@ class TripleStore:
         raw row tuples.  Triples come out in ascending insertion
         (timestamp) order — identical to a full-table scan's order.
         """
-        table = self._table
-        candidates = self._candidate_ids(subject, predicate, source)
-        if candidates is None:
-            raws: Iterable[tuple] = table.raw_scan()
+        if subject is not None and predicate is not None:
+            ids = self._by_pair.get((subject, predicate), ())
+        elif subject is not None:
+            ids = self._by_subject.get(subject, ())
+        elif predicate is not None:
+            ids = self._by_predicate.get(predicate, ())
+        elif source is not None:
+            ids = self._by_source.get(source, ())
         else:
-            raws = (
-                raw
-                for raw in (table.raw_row(row_id) for row_id in candidates)
-                if raw is not None
-            )
+            ids = None
+        if ids is None:
+            raws: Iterable[tuple] = (raw for _row_id, raw in self.engine.scan())
+        else:
+            # Copy the ids, so a caller may mutate the store mid-iteration.
+            raws = (raw for raw in map(self.engine.get, tuple(ids)) if raw is not None)
         for raw in raws:
             if subject is not None and raw[0] != subject:
                 continue
@@ -301,7 +299,7 @@ class TripleStore:
                 continue
             if source is not None and raw[3] != source:
                 continue
-            yield self._triple_of(raw)
+            yield Triple(*raw)
 
     def subjects(self, predicate: str | None = None, obj: object | None = None) -> set[str]:
         """Distinct subjects, optionally filtered by predicate/object."""
@@ -319,32 +317,27 @@ class TripleStore:
 
     def predicates(self) -> set[str]:
         """Distinct predicate names in the store."""
-        return {str(key[0]) for key in self._index_p.keys()}
+        return set(self._by_predicate)
 
     def sources(self) -> set[str]:
         """Distinct source URLs in the store."""
-        return {str(key[0]) for key in self._index_source.keys()}
+        return set(self._by_source)
 
     def all_triples(self) -> list[Triple]:
         """Every triple (mostly for tests and statistics)."""
         return list(self.match())
 
     # -- durability ---------------------------------------------------------
-    @property
-    def engine(self):
-        """The storage engine backing the triples table."""
-        return self._table.engine
-
     def checkpoint(self) -> None:
         """Snapshot the backing engine (no-op on volatile engines)."""
-        self._table.checkpoint()
+        self.engine.checkpoint()
 
     def close(self) -> None:
         """Release the backing engine's file handles."""
-        self._table.close()
+        self.engine.close()
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.engine)
 
     def __contains__(self, spo: tuple) -> bool:
         subject, predicate, obj = spo

@@ -1,10 +1,8 @@
 """Pluggable storage engines: durable and sharded state under the stores.
 
 Every byte of the reproduction used to live in process-local dicts and
-die with the process.  This package (ISSUE 8) extracts the row/triple
-state behind :class:`~repro.relational.table.Table`,
-:class:`~repro.relational.database.Database` and
-:class:`~repro.rdf.store.TripleStore` into a swappable
+die with the process.  This package puts the triple state of
+:class:`~repro.rdf.store.TripleStore` in a swappable
 :class:`~repro.storage.engine.StorageEngine`, following the
 nexus-style swappable-backend pattern (one schema, many engines):
 
@@ -12,13 +10,13 @@ nexus-style swappable-backend pattern (one schema, many engines):
   behavior, bitwise-identical and the default; also the parity oracle
   every other engine is pinned against;
 * :class:`~repro.storage.log.LogEngine` — append-only WAL where the
-  PR 4/5 change records (:class:`~repro.piazza.updates.Updategram`,
-  :class:`~repro.rdf.triples.Delta`) double as the log records, with
-  periodic snapshots; restart-recovery = snapshot load + replay;
+  store's :class:`~repro.rdf.triples.Delta` doubles as the log record,
+  with periodic snapshots; restart-recovery = snapshot load + replay;
 * :class:`~repro.storage.engine.ShardedEngine` — hash-partitioned rows
   across N child engines with per-shard scan fan-in.
 
-Peers get the same treatment one level up:
+Peers get the same treatment one level up, with the
+:class:`~repro.piazza.updates.Updategram` as the log record:
 :class:`~repro.storage.peerlog.PeerLog` makes
 :meth:`~repro.piazza.peer.PDMS.apply_updategram` the WAL write path and
 :meth:`~repro.piazza.peer.Peer.restore` the recovery path.

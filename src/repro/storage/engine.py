@@ -1,10 +1,10 @@
-"""The pluggable row-state engines behind :class:`~repro.relational.table.Table`.
+"""The pluggable row-state engines behind :class:`~repro.rdf.store.TripleStore`.
 
-A :class:`StorageEngine` owns exactly the row state the seed kept in
-``Table._rows``: a mapping from a monotonically increasing, never-reused
-row id to a live row tuple.  Everything else — schema validation,
-primary keys, secondary indexes, notification — stays in the owning
-store, so swapping engines cannot change observable semantics.  The
+A :class:`StorageEngine` owns exactly the row state: a mapping from a
+monotonically increasing, never-reused row id to a live row tuple.
+Everything else — input checks, secondary indexes, notification —
+stays in the owning store, so swapping engines cannot change
+observable semantics.  The
 contract every engine is pinned to (``tests/test_storage.py`` runs
 randomized mutation streams over all engines and asserts row-for-row
 equality):
@@ -23,7 +23,7 @@ hash-partitions rows across N child engines (any engine, including
 ``LogEngine`` for sharded durability) with per-shard scan fan-in.
 
 The :meth:`~StorageEngine.batch` protocol groups the row ops of one
-*logical* store operation (one ``insert``, one ``delete_where``, one
+*logical* store operation (one ``add_all``, one ``remove``, one
 ``replace_source``) so durable engines emit exactly one log record per
 logical operation; in-memory engines return a shared no-op batch whose
 ``wants_logical`` is False, so the logical-payload encoding costs

@@ -5,13 +5,14 @@ for live reads (so query paths cost exactly what the default engine
 costs) and makes every mutation durable before the owning store's
 logical operation returns:
 
-* each :meth:`~repro.storage.engine.StorageEngine.batch` — one
-  ``Table.insert``, one ``delete_where``, one
-  ``TripleStore.replace_source`` — appends **exactly one** WAL record
-  holding the ordered row ops (with their row ids, so replay
-  reproduces the original id assignment bit-for-bit) plus the logical
-  :class:`~repro.piazza.updates.Updategram`/:class:`~repro.rdf.triples.Delta`
+* each outermost :meth:`~repro.storage.engine.StorageEngine.batch` —
+  one ``TripleStore.add_all``, one ``remove``, one ``replace_source`` —
+  appends **exactly one** WAL record holding the ordered row ops (with
+  their row ids, so replay reproduces the original id assignment
+  bit-for-bit) plus the logical :class:`~repro.rdf.triples.Delta`
   payload the store annotated — the change record *is* the log record;
+  a bare :meth:`append`/:meth:`delete` outside a batch is a record of
+  its own (kind ``"ops"``);
 * every ``snapshot_every`` records the engine checkpoints: the full
   live state goes to the snapshot file (atomic replace) and the WAL is
   reset, bounding recovery to "load snapshot + replay a short tail";
@@ -48,7 +49,6 @@ class _LogBatch:
 
     def __enter__(self) -> "_LogBatch":
         self._engine._batch_depth += 1
-        self._depth = self._engine._batch_depth
         return self
 
     def __exit__(self, *exc_info) -> bool:
@@ -56,15 +56,8 @@ class _LogBatch:
         return False
 
     def annotate(self, kind: str, payload: dict) -> None:
-        """Attach the logical change record; the shallowest batch wins.
-
-        A ``TripleStore`` operation annotates its delta at depth 1
-        while the ``Table`` mutations it performs annotate updategrams
-        at depth 2 — the store-level description is the one recorded.
-        """
-        current = self._engine._annotation
-        if current is None or self._depth < current[0]:
-            self._engine._annotation = (self._depth, kind, payload)
+        """Attach the logical change record the batch's record carries."""
+        self._engine._annotation = (kind, payload)
 
 
 class LogEngine(StorageEngine):
@@ -160,7 +153,7 @@ class LogEngine(StorageEngine):
     def _commit(self, ops: list, annotation: tuple | None) -> None:
         record: dict = {"kind": "ops", "ops": [list(op) for op in ops]}
         if annotation is not None:
-            _depth, kind, payload = annotation
+            kind, payload = annotation
             record["kind"] = kind
             record["logical"] = payload
         written = self._wal.append(record)

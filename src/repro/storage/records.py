@@ -1,9 +1,9 @@
 """Log-record codecs: rows, Updategrams, Deltas and snapshots as JSON.
 
-The durability layer stores *logical change records* — the same
-:class:`~repro.piazza.updates.Updategram` and
-:class:`~repro.rdf.triples.Delta` objects that PRs 4–5 made first-class
-mutation currency double as the WAL records here (``encode → append``
+The durability layer stores *logical change records*: a
+:class:`~repro.rdf.triples.Delta` is the payload of a triple store's
+WAL record, and a :class:`~repro.piazza.updates.Updategram` is a
+:class:`~repro.storage.peerlog.PeerLog` record (``encode → append``
 on the write path, ``decode → replay`` on recovery).  Everything is
 JSON with one twist: row values keep their Python shape through the
 round trip.  Scalars (``None``/bool/int/float/str) pass through
@@ -14,8 +14,8 @@ hypothesis round-trip suite in ``tests/test_storage.py``, including
 empty grams/deltas and unicode values.
 
 Decoders import their target classes lazily so this module stays
-import-light: ``relational`` can depend on the storage engines without
-dragging in the piazza or rdf packages.
+import-light: the storage engines load without the piazza or rdf
+packages.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def sorted_rows(rows) -> list:
     )
 
 
-# -- updategrams (the relational/peer log record) --------------------------
+# -- updategrams (the peer log record) -----------------------------------
 def encode_updategram(gram) -> dict:
     """Encode an :class:`~repro.piazza.updates.Updategram` payload."""
     return {

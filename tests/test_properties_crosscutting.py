@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.piazza.datalog import is_contained_in, minimize_union
 from repro.piazza.parse import parse_query
-from repro.relational import ColumnType, Database
+from repro.rdf import Triple, TripleStore
 from repro.xmlmodel import XmlElement, XmlText, parse_xml
 
 # -- XML round-trip ------------------------------------------------------------
@@ -73,26 +73,64 @@ class TestXmlRoundTrip:
 
 # -- hash index vs a full scan --------------------------------------------------
 
-rows_strategy = st.lists(
-    st.tuples(st.integers(0, 6), st.integers(-5, 5)), max_size=40
+SUBJECTS, PREDICATES, SOURCES = ("s0", "s1", "s2"), ("p0", "p1"), ("u0", "u1", "u2")
+triple_strategy = st.builds(
+    Triple,
+    st.sampled_from(SUBJECTS),
+    st.sampled_from(PREDICATES),
+    st.integers(0, 3),
+    st.sampled_from(SOURCES),
+)
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_all"), st.lists(triple_strategy, max_size=4)),
+        st.tuples(
+            st.just("remove"),
+            st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES), st.integers(0, 3)),
+        ),
+        st.tuples(
+            st.just("replace_source"),
+            st.tuples(st.sampled_from(SOURCES), st.lists(triple_strategy, max_size=4)),
+        ),
+    ),
+    max_size=12,
 )
 
 
 class TestRelationalSemantics:
     @settings(max_examples=40, deadline=None)
-    @given(rows_strategy)
-    def test_index_scan_equals_full_scan(self, rows):
-        db = Database()
-        table = db.create_table("t", [("k", ColumnType.INT), ("v", ColumnType.INT)])
-        db.insert_many("t", rows)
-        table.create_hash_index(("k",))
-        table.delete_where(lambda row: row["v"] < -3)
-        table.update_where(lambda row: row["v"] > 3, {"k": 0})
-        index = table.hash_index_for({"k"})
-        for key in range(7):
-            with_index = sorted(table.raw_row(row_id) for row_id in index.lookup((key,)))
-            without = sorted(row for row in table.raw_scan() if row[0] == key)
-            assert with_index == without
+    @given(store_ops)
+    def test_index_scan_equals_full_scan(self, ops):
+        """Every ``TripleStore.match`` index path equals a filter over
+        ``all_triples()``, in the same order and with the same
+        timestamps, after each random mutation."""
+        store = TripleStore()
+        for op, args in ops:
+            if op == "add_all":
+                store.add_all(args)
+            elif op == "remove":
+                store.remove(*args)
+            else:
+                store.replace_source(*args)
+            everything = [(t, t.timestamp) for t in store.all_triples()]
+            for subject in (None, *SUBJECTS):
+                for predicate in (None, *PREDICATES):
+                    for obj in (None, 1):
+                        for source in (None, *SOURCES):
+                            indexed = [
+                                (t, t.timestamp)
+                                for t in store.match(subject, predicate, obj, source)
+                            ]
+                            assert indexed == [
+                                (t, stamp)
+                                for t, stamp in everything
+                                if subject in (None, t.subject)
+                                and predicate in (None, t.predicate)
+                                and obj in (None, t.object)
+                                and source in (None, t.source)
+                            ]
+            assert store.predicates() == {t.predicate for t, _stamp in everything}
+            assert store.sources() == {t.source for t, _stamp in everything}
 
 
 # -- containment properties -----------------------------------------------------------

@@ -4,16 +4,17 @@ Four families:
 
 * engine contract + randomized mutation-stream parity — ``MemoryEngine``
   is the oracle; ``LogEngine`` and ``ShardedEngine`` (memory and log
-  children) must stay row-for-row equal under identical streams,
-  including secondary-index-visible state;
+  children) must stay row-for-row equal under identical streams of
+  ``append``/``delete``/``replace``, batched and bare, down to ``get``
+  by id and the next row id;
 * WAL crash points — a torn final append (partial header or payload) is
   dropped cleanly and flagged; a complete-but-corrupt record (bad CRC,
   bad JSON under a valid CRC) raises the typed ``CorruptLogError``; so
   does a corrupt snapshot;
 * one-record-one-notification regression — every logical store
-  operation (``Table.insert`` / ``delete_where`` / ``update_where``,
-  ``TripleStore.replace_source`` / ``add_all``) under a ``LogEngine``
-  emits exactly one WAL record and at most one delta notification;
+  operation (``TripleStore.add`` / ``add_all`` / ``remove`` /
+  ``remove_source`` / ``replace_source``) under a ``LogEngine`` emits
+  exactly one WAL record and at most one delta notification;
 * hypothesis round trips for every codec in ``repro.storage.records``,
   including empty grams/deltas and unicode values.
 """
@@ -30,7 +31,6 @@ from repro import obs as obs_mod
 from repro.piazza.updates import Updategram
 from repro.rdf.store import TripleStore
 from repro.rdf.triples import Delta, Triple
-from repro.relational import ColumnType, Database, IntegrityError
 from repro.storage import (
     CorruptLogError,
     LogEngine,
@@ -112,67 +112,50 @@ def test_stable_row_hash_is_deterministic():
 
 
 # -- randomized mutation-stream parity ---------------------------------------
-def make_table(engine):
-    db = Database("parity")
-    table = db.create_table(
-        "items",
-        [
-            ("id", ColumnType.INT),
-            ("dept", ColumnType.TEXT),
-            ("size", ColumnType.INT),
-        ],
-        primary_key=("id",),
-        engine=engine,
-    )
-    table.create_hash_index(("dept",))
-    return table
-
-
-def drive_table(table, seed, steps=120):
+def drive_engine(engine, seed, steps=120):
+    """A random stream of ``(key, dept, size)`` rows: appends, batched
+    deletes and replaces by dept, and bare deletes of random ids."""
     rng = random.Random(seed)
     next_key = 0
     for _ in range(steps):
         op = rng.random()
         if op < 0.55:
-            try:
-                table.insert((next_key, rng.choice("abc"), rng.randint(0, 50)))
-            except IntegrityError:
-                pass
+            engine.append((next_key, rng.choice("abc"), rng.randint(0, 50)))
             next_key += 1
         elif op < 0.7:
             dept = rng.choice("abc")
-            table.delete_where(lambda row: row["dept"] == dept)
+            with engine.batch():
+                for row_id, row in list(engine.scan()):
+                    if row[1] == dept:
+                        engine.delete(row_id)
         elif op < 0.85:
-            dept = rng.choice("abc")
-            table.update_where(
-                lambda row: row["dept"] == dept, {"size": rng.randint(0, 50)}
-            )
+            dept, size = rng.choice("abc"), rng.randint(0, 50)
+            with engine.batch():
+                for row_id, row in list(engine.scan()):
+                    if row[1] == dept:
+                        engine.replace(row_id, (row[0], dept, size))
         else:
-            table.delete_row(rng.randrange(max(next_key, 1)))
+            engine.delete(rng.randrange(max(next_key, 1)))
 
 
-def table_fingerprint(table):
-    index = table.hash_index_for({"dept"})
+def engine_fingerprint(engine):
     return {
-        "rows": list(table.engine.scan()),
-        "len": len(table),
-        "hash": {d: sorted(index.lookup((d,))) for d in "abc"},
-        "pk": [table.lookup_pk((k,)) for k in range(130)],
+        "rows": list(engine.scan()),
+        "len": len(engine),
+        "get": [engine.get(row_id) for row_id in range(130)],
+        "next_id": engine.next_id,
     }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_randomized_mutation_stream_parity(tmp_path, seed):
-    tables = {
-        name: make_table(engine)
-        for name, engine in contract_engines(tmp_path / str(seed)).items()
-    }
-    for table in tables.values():
-        drive_table(table, seed)
-    oracle = table_fingerprint(tables["memory"])
-    for name, table in tables.items():
-        assert table_fingerprint(table) == oracle, name
-        table.close()
+    engines = contract_engines(tmp_path / str(seed))
+    for engine in engines.values():
+        drive_engine(engine, seed)
+    oracle = engine_fingerprint(engines["memory"])
+    for name, engine in engines.items():
+        assert engine_fingerprint(engine) == oracle, name
+        engine.close()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -233,29 +216,27 @@ def test_triple_store_parity_across_engines(tmp_path, seed):
 
 
 # -- WAL crash points --------------------------------------------------------
-def logged_table(tmp_path, name="t"):
-    return make_table(LogEngine(tmp_path, name=name, snapshot_every=None))
+def logged_rows(tmp_path, count, name="t"):
+    """A closed LogEngine holding ``count`` rows, one WAL record each."""
+    engine = LogEngine(tmp_path, name=name, snapshot_every=None)
+    for key in range(count):
+        engine.append((key, "a", key))
+    engine.close()
 
 
 def test_truncated_tail_partial_payload_dropped(tmp_path):
-    table = logged_table(tmp_path)
-    for key in range(5):
-        table.insert((key, "a", key))
-    table.close()
+    logged_rows(tmp_path, 5)
     wal = tmp_path / "t.wal"
     wal.write_bytes(wal.read_bytes()[:-3])  # tear the final append
     engine = LogEngine(tmp_path, name="t", snapshot_every=None)
     assert engine.truncated_tail
     assert engine.replayed_records == 4
-    recovered = make_table(engine)
-    assert [row["id"] for row in recovered.scan()] == [0, 1, 2, 3]
+    assert [row[0] for _row_id, row in engine.scan()] == [0, 1, 2, 3]
     engine.close()
 
 
 def test_truncated_tail_partial_header_dropped(tmp_path):
-    table = logged_table(tmp_path)
-    table.insert((0, "a", 0))
-    table.close()
+    logged_rows(tmp_path, 1)
     wal = tmp_path / "t.wal"
     wal.write_bytes(wal.read_bytes() + b"\x00\x01")  # torn header-only append
     engine = LogEngine(tmp_path, name="t", snapshot_every=None)
@@ -272,23 +253,19 @@ def test_append_after_torn_tail_recovery_stays_recoverable(tmp_path):
     left them on disk, so the post-recovery append landed *behind*
     them and the second recovery raised ``CorruptLogError``.
     """
-    table = logged_table(tmp_path)
-    for key in range(5):
-        table.insert((key, "a", key))
-    table.close()
+    logged_rows(tmp_path, 5)
     wal = tmp_path / "t.wal"
     torn_size = len(wal.read_bytes())
     wal.write_bytes(wal.read_bytes()[:-3])  # tear the final append
     engine = LogEngine(tmp_path, name="t", snapshot_every=None)
     assert engine.truncated_tail
     assert wal.stat().st_size < torn_size - 3  # garbage truncated on disk
-    survivor = make_table(engine)
-    survivor.insert((4, "b", 4))  # append after the repaired tail
-    survivor.close()
+    engine.append((4, "b", 4))  # append after the repaired tail
+    engine.close()
     recovered = LogEngine(tmp_path, name="t", snapshot_every=None)
     assert not recovered.truncated_tail
     assert recovered.replayed_records == 5
-    assert [row["id"] for row in make_table(recovered).scan()] == [0, 1, 2, 3, 4]
+    assert [row[0] for _row_id, row in recovered.scan()] == [0, 1, 2, 3, 4]
     recovered.close()
 
 
@@ -327,10 +304,7 @@ def test_sync_mode_survives_restart(tmp_path):
 
 
 def test_corrupt_complete_record_raises_typed_error(tmp_path):
-    table = logged_table(tmp_path)
-    for key in range(3):
-        table.insert((key, "a", key))
-    table.close()
+    logged_rows(tmp_path, 3)
     wal = tmp_path / "t.wal"
     data = bytearray(wal.read_bytes())
     data[_HEADER.size + 2] ^= 0xFF  # flip a byte inside the first payload
@@ -434,64 +408,39 @@ def test_named_sharded_engines_do_not_collide_on_gauges():
 
 # -- one record + one notification per logical operation ---------------------
 def test_table_ops_emit_one_wal_record_each(tmp_path):
-    table = logged_table(tmp_path)
-    table.insert((0, "a", 5))
-    table.insert((1, "b", 7))
-    table.update_where(lambda row: row["dept"] == "a", {"size": 9})
-    table.delete_where(lambda row: row["size"] > 0)
-    records = table.engine.wal_records()
-    assert [r["kind"] for r in records] == [
-        "updategram",
-        "updategram",
-        "updategram",
-        "updategram",
-    ]
-    # the logical payloads replay to the same grams the table described
-    assert records[0]["logical"]["inserts"] == {"items": [[0, "a", 5]]}
-    assert records[2]["logical"]["deletes"] == {"items": [[0, "a", 5]]}
-    assert records[2]["logical"]["inserts"] == {"items": [[0, "a", 9]]}
-    assert records[3]["logical"]["deletes"] == {"items": [[0, "a", 9], [1, "b", 7]]}
-    table.close()
+    """Each store operation on its triples table is one ``delta`` record
+    whose logical payload is the delta the subscribers received."""
+    store = TripleStore(engine=LogEngine(tmp_path, name="trip", snapshot_every=None))
+    deltas = []
+    store.subscribe_delta(lambda _store, delta: deltas.append(delta))
+    store.add(Triple("s1", "p", 1, "u"))
+    store.add_all([Triple("s1", "p", 2, "u"), Triple("s2", "q", 3, "v")])
+    store.remove("s1", "p", 1)
+    store.replace_source("u", [Triple("s1", "p", 2, "u"), Triple("s3", "p", 4, "u")])
+    store.remove_source("v")
+    records = store.engine.wal_records()
+    assert [r["kind"] for r in records] == ["delta"] * 5
+    assert [decode_delta(r["logical"]) for r in records] == deltas
+    assert [len(r["ops"]) for r in records] == [1, 2, 1, 1, 1]
+    assert deltas[2] == Delta(removed=(Triple("s1", "p", 1, "u", 1),))
+    assert [t.timestamp for t in deltas[2].removed] == [1]
+    assert deltas[4] == Delta(removed=(Triple("s2", "q", 3, "v"),))
+    store.close()
 
 
 def test_no_op_mutations_log_nothing(tmp_path):
-    table = logged_table(tmp_path)
-    table.insert((0, "a", 5))
-    table.delete_where(lambda row: False)
-    table.update_where(lambda row: False, {"size": 1})
-    table.delete_row(99)
-    with pytest.raises(IntegrityError):
-        table.insert((0, "a", 6))  # duplicate pk: rejected before logging
-    assert len(table.engine.wal_records()) == 1
-    table.close()
-
-
-@pytest.mark.parametrize("kind", ["memory", "log"])
-def test_update_where_is_all_or_nothing(tmp_path, kind):
-    engine = (
-        MemoryEngine() if kind == "memory"
-        else LogEngine(tmp_path, name="atomic", snapshot_every=None)
-    )
-    table = Database("atomic").create_table(
-        "t", [("id", ColumnType.INT), ("v", ColumnType.INT)],
-        primary_key=("id",), engine=engine,
-    )
-    for row in [(1, 10), (2, 20), (3, 30)]:
-        table.insert(row)
-    before = list(table.raw_scan())
-    with pytest.raises(IntegrityError):  # rows 2 and 3 would both become id 7
-        table.update_where(lambda row: row["id"] >= 2, {"id": 7})
-    with pytest.raises(IntegrityError):  # row 3 would take row 1's id
-        table.update_where(lambda row: row["id"] == 3, {"id": 1})
-    assert list(table.raw_scan()) == before
-    assert [table.lookup_pk((key,)) for key in (1, 2, 3, 7)] == [
-        {"id": 1, "v": 10}, {"id": 2, "v": 20}, {"id": 3, "v": 30}, None,
-    ]
-    table.close()
-    if kind == "log":
-        recovered = LogEngine(tmp_path, name="atomic", snapshot_every=None)
-        assert [row for _row_id, row in recovered.scan()] == before
-        recovered.close()
+    store = TripleStore(engine=LogEngine(tmp_path, name="trip", snapshot_every=None))
+    store.add(Triple("s", "p", 5, "u"))
+    store.add_all([])
+    store.remove("s", "p", 6)
+    store.remove("nobody", "p", 5)
+    store.remove_source("unknown")
+    store.replace_source("u", [Triple("s", "p", 5, "elsewhere")])  # unchanged
+    with pytest.raises(TypeError):
+        store.add(Triple(None, "p", 6, "u"))  # rejected before logging
+    assert len(store.engine.wal_records()) == 1
+    assert store.all_triples() == [Triple("s", "p", 5, "u", 1)]
+    store.close()
 
 
 def test_replace_source_one_record_one_notification(tmp_path):

@@ -2,14 +2,16 @@
 
 The acceptance criterion for the durable engines: kill a LogEngine- (or
 PeerLog-) backed store mid-update-stream, recover from disk, continue
-the stream — every observable (rows, row ids, secondary indexes, triple
-timestamps, peer epochs, served view answers) must be bit-equal to an
-uninterrupted ``MemoryEngine`` run of the same stream.  Recovery cost
-bounding is pinned too: a snapshot mid-stream shrinks the replayed WAL
-tail to the post-snapshot records.
+the stream — every observable (rows, row ids, the triple store's
+indexes, triple timestamps, peer epochs, served view answers) must be
+bit-equal to an uninterrupted ``MemoryEngine`` run of the same stream.
+Recovery cost bounding is pinned too: a snapshot mid-stream shrinks the
+replayed WAL tail to the post-snapshot records.
 """
 
 import random
+
+import pytest
 
 from repro.piazza.peer import PDMS
 from repro.piazza.execution import DistributedExecutor
@@ -19,32 +21,32 @@ from repro.rdf.store import TripleStore
 from repro.rdf.triples import Triple
 from repro.storage import LogEngine, MemoryEngine, PeerLog, ShardedEngine
 
-from tests.test_storage import drive_table, make_table, table_fingerprint
+from tests.test_storage import drive_engine, engine_fingerprint
 
 
-# -- Table ------------------------------------------------------------------
+# -- engines ----------------------------------------------------------------
 def test_table_kill_and_recover_matches_uninterrupted_run(tmp_path):
-    durable = make_table(LogEngine(tmp_path, name="t", snapshot_every=None))
-    oracle = make_table(MemoryEngine())
-    drive_table(durable, seed=7, steps=60)
-    drive_table(oracle, seed=7, steps=60)
+    durable = LogEngine(tmp_path, name="t", snapshot_every=None)
+    oracle = MemoryEngine()
+    drive_engine(durable, seed=7, steps=60)
+    drive_engine(oracle, seed=7, steps=60)
     durable.close()  # crash: drop the process state, keep the disk
 
-    recovered = make_table(LogEngine(tmp_path, name="t", snapshot_every=None))
-    assert recovered.engine.recovered
-    assert not recovered.engine.truncated_tail
+    recovered = LogEngine(tmp_path, name="t", snapshot_every=None)
+    assert recovered.recovered
+    assert not recovered.truncated_tail
     # continue the same stream on both sides after the restart
-    drive_table(recovered, seed=8, steps=60)
-    drive_table(oracle, seed=8, steps=60)
-    assert table_fingerprint(recovered) == table_fingerprint(oracle)
+    drive_engine(recovered, seed=8, steps=60)
+    drive_engine(oracle, seed=8, steps=60)
+    assert engine_fingerprint(recovered) == engine_fingerprint(oracle)
     recovered.close()
 
 
 def test_table_snapshot_bounds_replay(tmp_path):
-    no_snap = make_table(LogEngine(tmp_path / "a", name="t", snapshot_every=None))
-    snap = make_table(LogEngine(tmp_path / "b", name="t", snapshot_every=10))
-    drive_table(no_snap, seed=3, steps=80)
-    drive_table(snap, seed=3, steps=80)
+    no_snap = LogEngine(tmp_path / "a", name="t", snapshot_every=None)
+    snap = LogEngine(tmp_path / "b", name="t", snapshot_every=10)
+    drive_engine(no_snap, seed=3, steps=80)
+    drive_engine(snap, seed=3, steps=80)
     no_snap.close()
     snap.close()
     full = LogEngine(tmp_path / "a", name="t", snapshot_every=None)
@@ -60,16 +62,16 @@ def test_sharded_log_children_recover_independently(tmp_path):
     def factory(i):
         return LogEngine(tmp_path, name=f"shard{i}", snapshot_every=None)
 
-    durable = make_table(ShardedEngine(shards=3, child_factory=factory))
-    oracle = make_table(MemoryEngine())
-    drive_table(durable, seed=11, steps=70)
-    drive_table(oracle, seed=11, steps=70)
-    shard_sizes = durable.engine.shard_sizes()
+    durable = ShardedEngine(shards=3, child_factory=factory)
+    oracle = MemoryEngine()
+    drive_engine(durable, seed=11, steps=70)
+    drive_engine(oracle, seed=11, steps=70)
+    shard_sizes = durable.shard_sizes()
     durable.close()
 
-    recovered = make_table(ShardedEngine(shards=3, child_factory=factory))
-    assert recovered.engine.shard_sizes() == shard_sizes
-    assert table_fingerprint(recovered) == table_fingerprint(oracle)
+    recovered = ShardedEngine(shards=3, child_factory=factory)
+    assert recovered.shard_sizes() == shard_sizes
+    assert engine_fingerprint(recovered) == engine_fingerprint(oracle)
     recovered.close()
 
 
@@ -122,6 +124,72 @@ def test_triple_store_kill_and_recover_matches_uninterrupted_run(tmp_path):
     assert recovered.all_triples() == oracle.all_triples()
     assert list(recovered.match(predicate="p1")) == list(oracle.match(predicate="p1"))
     recovered.close()
+
+
+def store_view(store):
+    """Everything a reader can see: every index path, with timestamps."""
+
+    def stamped(triples):
+        return [(t, t.timestamp) for t in triples]
+
+    return {
+        "all": stamped(store.all_triples()),
+        "subject": {s: stamped(store.match(subject=s)) for s in store.subjects()},
+        "predicate": {p: stamped(store.match(predicate=p)) for p in store.predicates()},
+        "pair": {
+            (s, p): stamped(store.match(s, p))
+            for s in store.subjects()
+            for p in store.predicates()
+        },
+        "source": {u: stamped(store.match(source=u)) for u in store.sources()},
+        "sources": store.sources(),
+        "predicates": store.predicates(),
+        "len": len(store),
+        "clock": store._clock,
+    }
+
+
+def test_triple_store_over_sharded_log_engines_recovers(tmp_path):
+    children = []
+
+    def factory(i):
+        children.append(LogEngine(tmp_path, name=f"trip{i}", snapshot_every=5))
+        return children[-1]
+
+    durable = TripleStore(engine=ShardedEngine(shards=3, child_factory=factory))
+    oracle = TripleStore()
+    for store in (durable, oracle):
+        drive_store(store, seed=9, steps=50)
+        store.remove("s1", "p1", 3)
+        store.remove("s2", "p0", 5)
+    assert store_view(durable) == store_view(oracle)
+    durable.close()  # crash
+
+    children.clear()
+    recovered = TripleStore(engine=ShardedEngine(shards=3, child_factory=factory))
+    assert all(child.recovered for child in children)
+    assert store_view(recovered) == store_view(oracle)
+    # removes by (s, p, o) after recovery resolve through the rebuilt index
+    for spo in [(f"s{s}", f"p{p}", o) for s in range(7) for p in range(3) for o in range(10)]:
+        assert recovered.remove(*spo) == oracle.remove(*spo)
+    drive_store(recovered, seed=10, steps=20)
+    drive_store(oracle, seed=10, steps=20)
+    assert store_view(recovered) == store_view(oracle)
+    recovered.close()
+
+
+@pytest.mark.parametrize("field", ["subject", "predicate", "source"])
+def test_non_str_key_field_raises_and_logs_nothing(tmp_path, field):
+    engine = LogEngine(tmp_path, name="trip", snapshot_every=None)
+    store = TripleStore(engine=engine)
+    store.add(Triple("s", "p", 1, "u"))
+    fields = {"subject": "s", "predicate": "p", "object": 2, "source": "u", field: 7}
+    with pytest.raises(TypeError):
+        store.add_all([Triple(**fields)])
+    assert len(engine.wal_records()) == 1
+    assert store._clock == 1
+    assert store_view(store)["all"] == [(Triple("s", "p", 1, "u"), 1)]
+    store.close()
 
 
 # -- Peer + served views (the acceptance criterion) --------------------------
