@@ -1,7 +1,7 @@
-"""Experiment C17 — durable storage: restart recovery and shard scaling.
+"""Experiment C17 — durable storage: restart recovery.
 
 ISSUE 8 puts the PDMS on pluggable storage engines; this experiment
-prices the two new ones at the ROADMAP's 500-peer network scale (120
+prices the durable ones at the ROADMAP's 500-peer network scale (120
 peers in quick mode, which CI runs as the blocking
 ``storage-recovery-gate`` job with ``BENCH_C17_QUICK=1``):
 
@@ -15,13 +15,11 @@ peers in quick mode, which CI runs as the blocking
   snapshotting bounds the replayed WAL tail (strictly fewer replayed
   records than the snapshot-free configuration).  Reported: wall-clock
   recovery time for the full network, per configuration.
-* **per-shard query scaling** — the network's stored rows appended to
-  each engine directly.  Asserted:
-  every :class:`~repro.storage.engine.ShardedEngine` scan is
+* **row-table recovery** — the network's stored rows appended to a
+  :class:`~repro.storage.log.LogEngine`, restarted once from the WAL
+  and once from a snapshot.  Asserted: every recovered scan is
   row-for-row identical to the :class:`MemoryEngine` oracle, and the
-  hash partitioning is balanced (max shard <= 2x the ideal share).
-  Reported: single-shard scan cost vs the full merge scan — the
-  fan-out unit a sharded query planner would dispatch.
+  snapshot leaves nothing to replay.  Reported: recovery time.
 
 WAL/snapshot files go to ``.storage-scratch/`` (gitignored), wiped at
 the start of every run.
@@ -35,15 +33,13 @@ from pathlib import Path
 from repro.bench import ResultTable
 from repro.datasets.pdms_gen import random_tree_pdms, update_stream
 from repro.piazza.peer import Peer
-from repro.storage import LogEngine, MemoryEngine, PeerLog, ShardedEngine
+from repro.storage import LogEngine, MemoryEngine, PeerLog
 
 QUICK = os.environ.get("BENCH_C17_QUICK", "") not in ("", "0")
 PEERS = 120 if QUICK else 500
 UPDATES = 40 if QUICK else 120
 HOT_PEERS = 5
 SNAPSHOT_EVERY = 4
-SHARDS = (2, 4, 8)
-BALANCE_FACTOR = 2.0
 SEED = 17
 SCRATCH = Path(__file__).resolve().parent.parent / ".storage-scratch"
 
@@ -162,12 +158,11 @@ class TestC17Storage:
         )
         table.show()
 
-    def test_row_table_recovery_and_shard_scaling(self):
+    def test_row_table_restart_recovery(self):
         pdms = _network()
         rows = _stored_rows(pdms)
         oracle = _row_engine(MemoryEngine(), rows)
 
-        # -- durable table: restart recovery time, snapshot bounding ------
         table = ResultTable(
             "C17b: row-table restart recovery",
             ["config", "rows", "replayed", "recovery (ms)"],
@@ -191,40 +186,3 @@ class TestC17Storage:
             recovered.close()
         assert replayed["snapshot"] == 0 < replayed["wal replay"]
         table.show()
-
-        # -- sharded parity, balance and per-shard scan cost ---------------
-        shard_table = ResultTable(
-            "C17c: per-shard query scaling over the network's stored rows",
-            ["shards", "rows", "max shard", "ideal", "full scan (ms)",
-             "one shard (ms)", "scan ratio"],
-        )
-        full_started = time.perf_counter()
-        full_rows = _scan_rows(oracle)
-        full_ms = (time.perf_counter() - full_started) * 1000.0
-        for shard_count in SHARDS:
-            engine = _row_engine(ShardedEngine(shards=shard_count), rows)
-            # Parity: the merge scan is row-for-row the memory oracle.
-            assert _scan_rows(engine) == full_rows
-            sizes = engine.shard_sizes()
-            assert sum(sizes) == len(rows)
-            ideal = len(rows) / shard_count
-            assert max(sizes) <= BALANCE_FACTOR * ideal, sizes
-            started = time.perf_counter()
-            shard_rows = sum(1 for _ in engine.scan_shard(0))
-            one_shard_ms = (time.perf_counter() - started) * 1000.0
-            started = time.perf_counter()
-            merged = sum(1 for _ in engine.scan())
-            merged_ms = (time.perf_counter() - started) * 1000.0
-            assert merged == len(rows) and shard_rows == sizes[0]
-            shard_table.add_row(
-                shard_count, len(rows), max(sizes), round(ideal),
-                merged_ms, one_shard_ms,
-                one_shard_ms / merged_ms if merged_ms else 0.0,
-            )
-        shard_table.note(
-            "sharded scans asserted row-for-row equal to the MemoryEngine "
-            f"oracle; balance asserted max <= {BALANCE_FACTOR:.0f}x ideal; "
-            "full scan over the memory oracle took "
-            f"{full_ms:.2f} ms for {len(rows)} rows"
-        )
-        shard_table.show()

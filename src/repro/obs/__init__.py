@@ -33,10 +33,7 @@ The storage layer (ISSUE 8) reports here too: durable engines count
 ``storage.wal.appends`` / ``storage.wal.bytes`` and
 ``storage.snapshot.writes`` / ``storage.snapshot.bytes``, recovery
 records ``storage.replay.records`` plus the ``storage.replay.ms``
-histogram, and :class:`~repro.storage.engine.ShardedEngine` exports
-per-shard ``storage.shard.rows.<i>`` gauges (namespaced
-``storage.shard.rows.<name>.<i>`` when the engine is named, so several
-sharded engines can share one registry without colliding).
+histogram.
 
 The pipeline around the core (ISSUE 10):
 

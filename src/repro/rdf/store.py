@@ -6,7 +6,9 @@ The "simple graph representation" of the paper: every triple is one
 four in-memory hash indexes — subject, predicate, the (subject,
 predicate) pair and source.  Row ids grow monotonically and recovery
 rebuilds the indexes in row-id order, so each index bucket (an
-insertion-ordered ``dict[int, None]``) is already ascending.
+insertion-ordered ``dict[int, None]``) is already ascending.  Every
+mutation goes through one all-or-nothing write path, and a triple's
+timestamp is its row id + 1.
 
 The delta protocol (PR 4 — the incremental serving layer)
 ---------------------------------------------------------
@@ -58,11 +60,10 @@ class TripleStore:
     durable (each logical mutation — one ``add_all``, one
     ``replace_source`` — is exactly one WAL record whose logical
     payload is the same :class:`~repro.rdf.triples.Delta` the
-    subscribers receive), a
-    :class:`~repro.storage.engine.ShardedEngine` splits the triples
-    across shards.  Constructing a store over a recovered engine
-    re-attaches: one pass over the engine scan rebuilds the indexes and
-    resumes the logical clock past the largest recovered timestamp.
+    subscribers receive).  A triple's timestamp is its row id + 1, so
+    constructing a store over a recovered engine re-attaches with one
+    pass over the engine scan that rebuilds the indexes; the engine's
+    ``next_id`` resumes the timestamps.
     """
 
     def __init__(self, name: str = "annotations", engine=None):  # noqa: D107
@@ -73,10 +74,8 @@ class TripleStore:
         self._by_predicate: dict[str, dict[int, None]] = {}
         self._by_pair: dict[tuple[str, str], dict[int, None]] = {}
         self._by_source: dict[str, dict[int, None]] = {}
-        self._clock = 0
         for row_id, raw in self.engine.scan():
             self._index(row_id, raw)
-            self._clock = max(self._clock, raw[4])
         # (listener, wants_delta) in subscription order.
         self._listeners: list[tuple[Callable, bool]] = []
         # Triples added with notify=False, owed to the next delta.
@@ -145,27 +144,54 @@ class TripleStore:
         for index, key in self._buckets(raw):
             index.setdefault(key, {})[row_id] = None
 
-    def _delete(self, row_id: int, raw: tuple) -> Triple:
-        """Delete a live row and unfile it (no notify)."""
-        self.engine.delete(row_id)
-        for index, key in self._buckets(raw):
-            bucket = index[key]
-            del bucket[row_id]
-            if not bucket:
-                del index[key]
-        return Triple(*raw)
+    def _write(self, doomed: list, fresh: Iterable[Triple], notify: bool = True) -> Delta:
+        """The one mutation path: delete ``doomed``, insert ``fresh``.
 
-    def _insert_stamped(self, triple: Triple) -> Triple:
-        """Stamp with the next logical timestamp and insert (no notify)."""
-        subject, predicate, source = triple.subject, triple.predicate, triple.source
-        if not (
-            isinstance(subject, str) and isinstance(predicate, str) and isinstance(source, str)
-        ):
-            raise TypeError(f"subject, predicate and source must be str: {triple!r}")
-        self._clock += 1
-        raw = (subject, predicate, triple.object, source, self._clock)
-        self._index(self.engine.append(raw), raw)
-        return Triple(*raw)
+        ``doomed`` holds live ``(row_id, raw)`` rows; ``fresh`` holds the
+        triples to insert, each stamped with its row id + 1, so a reopened
+        store resumes exactly where an uninterrupted one would.  Every
+        check and the logical payload's encoding run before the engine is
+        touched: a mutation that raises leaves no row, index entry, WAL
+        record or delta behind.  A change fires one delta (deferred to the
+        next one when ``notify`` is False).
+        """
+        stamp = self.engine.next_id + 1
+        raws = [
+            (t.subject, t.predicate, t.object, t.source, stamp + i)
+            for i, t in enumerate(fresh)
+        ]
+        for raw in raws:
+            if not (
+                isinstance(raw[0], str) and isinstance(raw[1], str) and isinstance(raw[3], str)
+            ):
+                raise TypeError(f"subject, predicate and source must be str: {raw!r}")
+        delta = Delta(
+            added=tuple(Triple(*raw) for raw in raws),
+            removed=tuple(Triple(*raw) for _row_id, raw in doomed),
+        )
+        if not delta:
+            return delta
+        batch = self.engine.batch()
+        payload = encode_delta(delta) if batch.wants_logical else None
+        with batch:
+            for row_id, raw in doomed:
+                self.engine.delete(row_id)
+                for index, key in self._buckets(raw):
+                    bucket = index[key]
+                    del bucket[row_id]
+                    if not bucket:
+                        del index[key]
+            for raw in raws:
+                self._index(self.engine.append(raw), raw)
+            if payload is not None:
+                batch.annotate("delta", payload)
+        # Listeners fire only after the WAL record is committed, so a
+        # crash never shows subscribers a change the log lost.
+        if notify:
+            self._notify(delta)
+        else:
+            self._pending_added.extend(delta.added)
+        return delta
 
     def add(self, triple: Triple, notify: bool = True) -> Triple:
         """Insert one triple; assigns the logical timestamp.
@@ -174,27 +200,11 @@ class TripleStore:
         triple is folded into the *next* delta that fires, so
         incremental subscribers stay eventually consistent.
         """
-        with self.engine.batch() as batch:
-            stamped = self._insert_stamped(triple)
-            if batch.wants_logical:
-                batch.annotate("delta", encode_delta(Delta(added=(stamped,))))
-        # Listeners fire only after the WAL record is committed, so a
-        # crash never shows subscribers a change the log lost.
-        if notify:
-            self._notify(Delta(added=(stamped,)))
-        else:
-            self._pending_added.append(stamped)
-        return stamped
+        return self._write([], (triple,), notify).added[0]
 
     def add_all(self, triples: Iterable[Triple]) -> int:
         """Insert many triples as one batch (single notification)."""
-        with self.engine.batch() as batch:
-            stamped = tuple(self._insert_stamped(triple) for triple in triples)
-            if stamped and batch.wants_logical:
-                batch.annotate("delta", encode_delta(Delta(added=stamped)))
-        if stamped:
-            self._notify(Delta(added=stamped))
-        return len(stamped)
+        return len(self._write([], triples).added)
 
     def remove_source(self, source: str) -> int:
         """Delete every triple published from ``source``.
@@ -206,17 +216,9 @@ class TripleStore:
 
     def remove(self, subject: str, predicate: str, obj: object) -> int:
         """Delete matching (s, p, o) triples regardless of source."""
-        removed: list[Triple] = []
-        with self.engine.batch() as batch:
-            for row_id in tuple(self._by_pair.get((subject, predicate), ())):
-                raw = self.engine.get(row_id)
-                if raw[2] == obj:
-                    removed.append(self._delete(row_id, raw))
-            if removed and batch.wants_logical:
-                batch.annotate("delta", encode_delta(Delta(removed=tuple(removed))))
-        if removed:
-            self._notify(Delta(removed=tuple(removed)))
-        return len(removed)
+        ids = self._by_pair.get((subject, predicate), ())
+        doomed = [row for row in zip(ids, map(self.engine.get, ids)) if row[1][2] == obj]
+        return len(self._write(doomed, ()).removed)
 
     def replace_source(self, source: str, triples: Iterable[Triple]) -> Delta:
         """Atomically replace everything published from ``source``.
@@ -232,33 +234,25 @@ class TripleStore:
         On a durable engine the whole diff is a single atomic WAL
         record whose logical payload is exactly this delta.
         """
-        fresh = [
-            Triple(t.subject, t.predicate, t.object, source) for t in triples
-        ]
+        fresh = [Triple(t.subject, t.predicate, t.object, source) for t in triples]
         new_counts = Counter(t.spo() for t in fresh)
         kept: Counter = Counter()
-        removed: list[Triple] = []
+        doomed: list[tuple[int, tuple]] = []
+        for row_id in self._by_source.get(source, ()):
+            raw = self.engine.get(row_id)
+            spo = raw[:3]
+            if kept[spo] < new_counts[spo]:
+                kept[spo] += 1  # earliest copies survive, timestamps intact
+            else:
+                doomed.append((row_id, raw))
         added: list[Triple] = []
-        with self.engine.batch() as batch:
-            for row_id in tuple(self._by_source.get(source, ())):
-                raw = self.engine.get(row_id)
-                spo = (raw[0], raw[1], raw[2])
-                if kept[spo] < new_counts[spo]:
-                    kept[spo] += 1  # earliest copies survive, timestamps intact
-                else:
-                    removed.append(self._delete(row_id, raw))
-            for triple in fresh:
-                spo = triple.spo()
-                if kept[spo] > 0:
-                    kept[spo] -= 1
-                    continue
-                added.append(self._insert_stamped(triple))
-            delta = Delta(added=tuple(added), removed=tuple(removed))
-            if delta and batch.wants_logical:
-                batch.annotate("delta", encode_delta(delta))
-        if delta:
-            self._notify(delta)
-        return delta
+        for triple in fresh:
+            spo = triple.spo()
+            if kept[spo] > 0:
+                kept[spo] -= 1
+            else:
+                added.append(triple)
+        return self._write(doomed, added)
 
     # -- access -------------------------------------------------------------
     def match(

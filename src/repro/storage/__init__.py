@@ -1,4 +1,4 @@
-"""Pluggable storage engines: durable and sharded state under the stores.
+"""Pluggable storage engines: durable state under the stores.
 
 Every byte of the reproduction used to live in process-local dicts and
 die with the process.  This package puts the triple state of
@@ -11,9 +11,7 @@ nexus-style swappable-backend pattern (one schema, many engines):
   every other engine is pinned against;
 * :class:`~repro.storage.log.LogEngine` — append-only WAL where the
   store's :class:`~repro.rdf.triples.Delta` doubles as the log record,
-  with periodic snapshots; restart-recovery = snapshot load + replay;
-* :class:`~repro.storage.engine.ShardedEngine` — hash-partitioned rows
-  across N child engines with per-shard scan fan-in.
+  with periodic snapshots; restart-recovery = snapshot load + replay.
 
 Peers get the same treatment one level up, with the
 :class:`~repro.piazza.updates.Updategram` as the log record:
@@ -22,16 +20,11 @@ Peers get the same treatment one level up, with the
 :meth:`~repro.piazza.peer.Peer.restore` the recovery path.
 
 ``docs/storage.md`` is the runnable walkthrough (engine swap, crash,
-recover, shard); ``benchmarks/bench_c17_storage.py`` gates recovery
-equality and per-shard scaling in CI.
+recover); ``benchmarks/bench_c17_storage.py`` gates recovery equality
+in CI.
 """
 
-from repro.storage.engine import (
-    MemoryEngine,
-    ShardedEngine,
-    StorageEngine,
-    stable_row_hash,
-)
+from repro.storage.engine import MemoryEngine, StorageEngine
 from repro.storage.log import LogEngine
 from repro.storage.peerlog import PeerLog, RecoveredPeerState
 from repro.storage.records import (
@@ -61,7 +54,6 @@ __all__ = [
     "MemoryEngine",
     "PeerLog",
     "RecoveredPeerState",
-    "ShardedEngine",
     "SnapshotFile",
     "StorageEngine",
     "StorageError",
@@ -78,5 +70,4 @@ __all__ = [
     "encode_row",
     "encode_updategram",
     "encode_value",
-    "stable_row_hash",
 ]

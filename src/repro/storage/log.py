@@ -166,14 +166,13 @@ class LogEngine(StorageEngine):
         ):
             self.checkpoint()
 
+    # append and replace encode before they mutate, so a row that cannot
+    # be logged leaves the engine as it was.
     def append(self, row: tuple) -> int:  # noqa: D102
+        encoded = encode_row(row)
         row_id = self._inner.append(row)
-        self._record_op(("i", row_id, encode_row(row)))
+        self._record_op(("i", row_id, encoded))
         return row_id
-
-    def insert_at(self, row_id: int, row: tuple) -> None:  # noqa: D102
-        self._inner.insert_at(row_id, row)
-        self._record_op(("i", row_id, encode_row(row)))
 
     def get(self, row_id: int) -> tuple | None:  # noqa: D102
         return self._inner.get(row_id)
@@ -185,8 +184,9 @@ class LogEngine(StorageEngine):
         return row
 
     def replace(self, row_id: int, row: tuple) -> None:  # noqa: D102
+        encoded = encode_row(row)
         self._inner.replace(row_id, row)
-        self._record_op(("u", row_id, encode_row(row)))
+        self._record_op(("u", row_id, encoded))
 
     def scan(self) -> Iterator[tuple[int, tuple]]:  # noqa: D102
         return self._inner.scan()

@@ -3,8 +3,8 @@
 Four families:
 
 * engine contract + randomized mutation-stream parity — ``MemoryEngine``
-  is the oracle; ``LogEngine`` and ``ShardedEngine`` (memory and log
-  children) must stay row-for-row equal under identical streams of
+  is the oracle; ``LogEngine`` (with and without snapshots) must stay
+  row-for-row equal under identical streams of
   ``append``/``delete``/``replace``, batched and bare, down to ``get``
   by id and the next row id;
 * WAL crash points — a torn final append (partial header or payload) is
@@ -35,7 +35,6 @@ from repro.storage import (
     CorruptLogError,
     LogEngine,
     MemoryEngine,
-    ShardedEngine,
     SnapshotFile,
     WriteAheadLog,
     decode_delta,
@@ -50,7 +49,6 @@ from repro.storage import (
     encode_row,
     encode_updategram,
     encode_value,
-    stable_row_hash,
 )
 from repro.storage.wal import _HEADER
 
@@ -61,13 +59,6 @@ def contract_engines(tmp_path):
         "memory": MemoryEngine(),
         "log": LogEngine(tmp_path / "log", snapshot_every=None),
         "log-snap": LogEngine(tmp_path / "snap", snapshot_every=3),
-        "sharded": ShardedEngine(shards=3),
-        "sharded-log": ShardedEngine(
-            shards=3,
-            child_factory=lambda i: LogEngine(
-                tmp_path / "shards", name=f"s{i}", snapshot_every=None
-            ),
-        ),
     }
 
 
@@ -93,22 +84,6 @@ def test_engine_contract_basics(tmp_path):
         assert len(engine) == 3
         assert engine.describe()["rows"] == 3
         engine.close()
-
-
-def test_scan_order_is_row_id_order_after_reroute(tmp_path):
-    engine = ShardedEngine(shards=4)
-    ids = [engine.append((f"row-{i}", i)) for i in range(40)]
-    # replace re-routes rows whose content hash moves them to another shard
-    for row_id in ids[::3]:
-        engine.replace(row_id, (f"moved-{row_id}", row_id * 10))
-    scanned = [row_id for row_id, _row in engine.scan()]
-    assert scanned == sorted(scanned)
-    assert sum(engine.shard_sizes()) == len(engine) == 40
-
-
-def test_stable_row_hash_is_deterministic():
-    assert stable_row_hash(("x", 1)) == stable_row_hash(("x", 1))
-    assert stable_row_hash(("x", 1)) == zlib.crc32(repr(("x", 1)).encode("utf-8"))
 
 
 # -- randomized mutation-stream parity ---------------------------------------
@@ -165,7 +140,6 @@ def test_triple_store_parity_across_engines(tmp_path, seed):
         "log": TripleStore(
             engine=LogEngine(tmp_path / "t", name=f"trip{seed}", snapshot_every=5)
         ),
-        "sharded": TripleStore(engine=ShardedEngine(shards=3)),
     }
     rng = random.Random(seed)
     sources = [f"url{i}" for i in range(4)]
@@ -359,51 +333,19 @@ def test_recovery_preserves_next_id_past_trailing_deletes(tmp_path):
     recovered.close()
 
 
-def test_sharded_recovery_dedups_cross_shard_replace_duplicate(tmp_path):
-    """A row id live in two shards after a crash is repaired on recovery.
+def test_bare_write_of_unencodable_row_changes_nothing(tmp_path):
+    from repro.storage import StorageError
 
-    A crash between the two per-shard commits of a cross-shard
-    ``replace`` can leave the row live in both children; recovery must
-    keep exactly one copy (highest-index shard wins, deterministically)
-    and durably delete the stale one so ``scan`` never yields a row id
-    twice.
-    """
-
-    def factory(i):
-        return LogEngine(tmp_path / f"s{i}", name="shard", snapshot_every=None)
-
-    first = factory(0)
-    first.insert_at(0, ("old", 1))
-    first.close()
-    second = factory(1)
-    second.insert_at(0, ("new", 2))
-    second.close()
-
-    obs = obs_mod.Observability()
-    engine = ShardedEngine(shards=2, child_factory=factory, obs=obs)
-    assert list(engine.scan()) == [(0, ("new", 2))]
-    assert len(engine) == 1
-    assert obs.metrics.counter("storage.shard.recovered_duplicates").value == 1
+    engine = LogEngine(tmp_path, name="t", snapshot_every=None)
+    engine.append(("k", 1))
+    wal = (tmp_path / "t.wal").read_bytes()
+    with pytest.raises(StorageError):
+        engine.append(("k", {"x": 1}))
+    with pytest.raises(StorageError):
+        engine.replace(0, ("k", {"x": 1}))
+    assert (len(engine), engine.next_id, list(engine.scan())) == (1, 1, [(0, ("k", 1))])
+    assert (tmp_path / "t.wal").read_bytes() == wal
     engine.close()
-
-    # the repair was written to the losing shard's log: a second
-    # recovery is already clean
-    engine2 = ShardedEngine(shards=2, child_factory=factory)
-    assert list(engine2.scan()) == [(0, ("new", 2))]
-    engine2.close()
-
-
-def test_named_sharded_engines_do_not_collide_on_gauges():
-    obs = obs_mod.Observability()
-    employees = ShardedEngine(shards=2, obs=obs, name="emp")
-    departments = ShardedEngine(shards=2, obs=obs, name="dept")
-    employees.append(("x",))
-    employees.append(("y",))
-    departments.append(("z",))
-    metrics = obs.metrics
-    emp = sum(metrics.gauge(f"storage.shard.rows.emp.{i}").value for i in range(2))
-    dept = sum(metrics.gauge(f"storage.shard.rows.dept.{i}").value for i in range(2))
-    assert (emp, dept) == (2, 1)
 
 
 # -- one record + one notification per logical operation ---------------------
@@ -489,14 +431,6 @@ def test_storage_metrics_reach_shared_registry(tmp_path):
     engine2 = LogEngine(tmp_path, name="m", snapshot_every=None, obs=obs)
     assert metrics.counter("storage.replay.records").value >= 1
     engine2.close()
-
-    sharded = ShardedEngine(shards=2, obs=obs)
-    sharded.append(("x",))
-    sharded.append(("y",))
-    total = sum(
-        metrics.gauge(f"storage.shard.rows.{i}").value for i in range(2)
-    )
-    assert total == 2
 
 
 def test_default_registry_gets_storage_metrics(tmp_path):

@@ -7,11 +7,21 @@ indexes, triple timestamps, peer epochs, served view answers) must be
 bit-equal to an uninterrupted ``MemoryEngine`` run of the same stream.
 Recovery cost bounding is pinned too: a snapshot mid-stream shrinks the
 replayed WAL tail to the post-snapshot records.
+
+The reopen law drives a random stream of every ``TripleStore`` mutation,
+invalid triples among them, with checkpoints and close/reopen at random
+points, and holds the durable store to an uninterrupted in-memory one
+after every step.
 """
 
+import dataclasses
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.piazza.peer import PDMS
 from repro.piazza.execution import DistributedExecutor
@@ -19,7 +29,7 @@ from repro.piazza.serving import ViewServer
 from repro.piazza.updates import Updategram
 from repro.rdf.store import TripleStore
 from repro.rdf.triples import Triple
-from repro.storage import LogEngine, MemoryEngine, PeerLog, ShardedEngine
+from repro.storage import LogEngine, MemoryEngine, PeerLog, StorageError, decode_delta
 
 from tests.test_storage import drive_engine, engine_fingerprint
 
@@ -58,19 +68,15 @@ def test_table_snapshot_bounds_replay(tmp_path):
     bounded.close()
 
 
-def test_sharded_log_children_recover_independently(tmp_path):
-    def factory(i):
-        return LogEngine(tmp_path, name=f"shard{i}", snapshot_every=None)
-
-    durable = ShardedEngine(shards=3, child_factory=factory)
+def test_table_recovers_from_snapshot_plus_tail(tmp_path):
+    durable = LogEngine(tmp_path, name="t", snapshot_every=5)
     oracle = MemoryEngine()
     drive_engine(durable, seed=11, steps=70)
     drive_engine(oracle, seed=11, steps=70)
-    shard_sizes = durable.shard_sizes()
     durable.close()
 
-    recovered = ShardedEngine(shards=3, child_factory=factory)
-    assert recovered.shard_sizes() == shard_sizes
+    recovered = LogEngine(tmp_path, name="t", snapshot_every=5)
+    assert recovered.replayed_records < 5
     assert engine_fingerprint(recovered) == engine_fingerprint(oracle)
     recovered.close()
 
@@ -112,7 +118,7 @@ def test_triple_store_kill_and_recover_matches_uninterrupted_run(tmp_path):
     )
     # recovered state: triples, original timestamps, the logical clock
     assert recovered.all_triples() == oracle.all_triples()
-    assert recovered._clock == oracle._clock
+    assert recovered.engine.next_id == oracle.engine.next_id
     assert recovered.sources() == oracle.sources()
     # a subscriber attached after recovery sees identical deltas
     recovered_deltas, oracle_deltas = [], []
@@ -145,18 +151,15 @@ def store_view(store):
         "sources": store.sources(),
         "predicates": store.predicates(),
         "len": len(store),
-        "clock": store._clock,
+        "next_id": store.engine.next_id,
     }
 
 
-def test_triple_store_over_sharded_log_engines_recovers(tmp_path):
-    children = []
+def test_triple_store_over_log_engine_recovers(tmp_path):
+    def engine():
+        return LogEngine(tmp_path, name="trip", snapshot_every=5)
 
-    def factory(i):
-        children.append(LogEngine(tmp_path, name=f"trip{i}", snapshot_every=5))
-        return children[-1]
-
-    durable = TripleStore(engine=ShardedEngine(shards=3, child_factory=factory))
+    durable = TripleStore(engine=engine())
     oracle = TripleStore()
     for store in (durable, oracle):
         drive_store(store, seed=9, steps=50)
@@ -165,9 +168,8 @@ def test_triple_store_over_sharded_log_engines_recovers(tmp_path):
     assert store_view(durable) == store_view(oracle)
     durable.close()  # crash
 
-    children.clear()
-    recovered = TripleStore(engine=ShardedEngine(shards=3, child_factory=factory))
-    assert all(child.recovered for child in children)
+    recovered = TripleStore(engine=engine())
+    assert recovered.engine.recovered
     assert store_view(recovered) == store_view(oracle)
     # removes by (s, p, o) after recovery resolve through the rebuilt index
     for spo in [(f"s{s}", f"p{p}", o) for s in range(7) for p in range(3) for o in range(10)]:
@@ -187,9 +189,165 @@ def test_non_str_key_field_raises_and_logs_nothing(tmp_path, field):
     with pytest.raises(TypeError):
         store.add_all([Triple(**fields)])
     assert len(engine.wal_records()) == 1
-    assert store._clock == 1
+    assert store.engine.next_id == 1
     assert store_view(store)["all"] == [(Triple("s", "p", 1, "u"), 1)]
     store.close()
+
+
+def test_reopen_resumes_timestamps_past_a_deleted_newest_triple(tmp_path):
+    oracle = TripleStore()
+    durable = TripleStore(engine=LogEngine(tmp_path, name="trip"))
+    for store in (oracle, durable):
+        store.add_all([Triple("a", "p", 1, "u"), Triple("b", "p", 2, "u")])
+        store.replace_source("u", [Triple("a", "p", 1, "u")])
+    durable.close()
+    reopened = TripleStore(engine=LogEngine(tmp_path, name="trip"))
+    assert oracle.add(Triple("c", "p", 3, "u")).timestamp == 3
+    assert reopened.add(Triple("c", "p", 3, "u")).timestamp == 3
+    reopened.close()
+
+
+def assert_failed_add_all_writes_nothing(directory, bad, error):
+    store = TripleStore(engine=LogEngine(directory, name="trip", snapshot_every=None))
+    deltas = []
+    store.subscribe_delta(lambda _s, delta: deltas.append(delta))
+    with pytest.raises(error):
+        store.add_all([Triple("a", "p", 1, "u"), bad])
+    assert (len(store), list(store.match()), deltas) == (0, [], [])
+    assert store.engine.wal_records() == []
+    store.close()
+    assert len(TripleStore(engine=LogEngine(directory, name="trip"))) == 0
+
+
+def test_failed_add_all_with_a_non_str_key_writes_nothing(tmp_path):
+    assert_failed_add_all_writes_nothing(tmp_path, Triple(None, "p", 2, "u"), TypeError)
+
+
+def test_failed_add_all_with_an_unencodable_object_writes_nothing(tmp_path):
+    assert_failed_add_all_writes_nothing(tmp_path, Triple("b", "p", {"x": 1}, "u"), StorageError)
+
+
+# -- the reopen law -----------------------------------------------------------
+subjects = st.sampled_from(["s0", "s1", "s2"])
+predicates = st.sampled_from(["p0", "p1"])
+sources = st.sampled_from(["u0", "u1", "u2"])
+objects = st.integers(0, 3)
+valid_triples = st.builds(Triple, subjects, predicates, objects, sources)
+bad_key_triples = st.builds(
+    lambda triple, field, value: dataclasses.replace(triple, **{field: value}),
+    valid_triples,
+    st.sampled_from(["subject", "predicate", "source"]),
+    st.sampled_from([None, 7]),
+)
+unencodable_triples = st.builds(
+    dataclasses.replace, valid_triples, object=st.sampled_from([{"x": 1}, {1}])
+)
+invalid_triples = bad_key_triples | unencodable_triples
+# One triple in five is invalid, so most batches land and the store fills.
+triples = st.integers(0, 4).flatmap(lambda i: invalid_triples if i == 0 else valid_triples)
+ops = st.one_of(
+    st.tuples(st.just("add"), triples, st.booleans()),
+    st.tuples(st.just("add_all"), st.lists(triples, max_size=4)),
+    st.tuples(st.just("remove"), subjects, predicates, objects),
+    st.tuples(st.just("remove_source"), sources),
+    st.tuples(st.just("replace_source"), sources, st.lists(triples, max_size=4)),
+    st.just(("checkpoint",)),
+    st.just(("reopen",)),
+)
+
+
+def stamped_delta(delta):
+    return ([(t, t.timestamp) for t in delta.added], [(t, t.timestamp) for t in delta.removed])
+
+
+def replay_feed(base, records):
+    """``base`` (a stamped ``all`` view) after the WAL's logical deltas."""
+    live = dict.fromkeys(base)
+    for record in records:
+        assert record["kind"] == "delta", record
+        delta = decode_delta(record["logical"])
+        for t in delta.removed:
+            del live[(t, t.timestamp)]
+        live.update(dict.fromkeys((t, t.timestamp) for t in delta.added))
+    return sorted(live, key=lambda pair: pair[1])
+
+
+def carries_invalid_triple(op):
+    carried = [t for arg in op[1:] for t in (arg if isinstance(arg, list) else [arg])]
+    return any(
+        not all(isinstance(key, str) for key in (t.subject, t.predicate, t.source))
+        or isinstance(t.object, (dict, set))
+        for t in carried
+        if isinstance(t, Triple)
+    )
+
+
+def apply_op(store, op):
+    name, *args = op
+    if name == "checkpoint":
+        store.checkpoint()
+    else:
+        getattr(store, name)(*args)
+
+
+def run_reopen_law(directory, stream):
+    got, want = [], []
+
+    def open_durable():
+        store = TripleStore(engine=LogEngine(directory, name="law", snapshot_every=None))
+        store.subscribe_delta(lambda _s, delta: got.append(stamped_delta(delta)))
+        return store
+
+    def disk():
+        return tuple(
+            path.read_bytes() if path.exists() else None
+            for path in (directory / "law.wal", directory / "law.snapshot")
+        )
+
+    durable, oracle = open_durable(), TripleStore()
+    oracle.subscribe_delta(lambda _s, delta: want.append(stamped_delta(delta)))
+    base: list = []  # the stamped view at the last checkpoint
+    for op in stream:
+        if op[0] == "reopen":
+            durable.close()
+            durable = open_durable()
+            # Owed notifications are process state: a restart forgets them.
+            oracle._pending_added.clear()
+        else:
+            before = (store_view(durable), disk())
+            try:
+                apply_op(durable, op)
+            except (TypeError, StorageError):
+                # MemoryEngine accepts any object, so the oracle skips the op.
+                assert carries_invalid_triple(op), op
+                assert (store_view(durable), disk()) == before, op
+            else:
+                apply_op(oracle, op)
+        if op[0] == "checkpoint":
+            base = store_view(durable)["all"]
+        view = store_view(durable)
+        assert view == store_view(oracle), op
+        assert got == want, op
+        assert replay_feed(base, durable.engine.wal_records()) == view["all"], op
+    durable.close()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ops, min_size=10, max_size=40))
+@example(
+    [
+        ("add_all", [Triple("a", "p", 1, "u"), Triple("b", "p", 2, "u")]),
+        ("replace_source", "u", [Triple("a", "p", 1, "u")]),
+        ("reopen",),
+        ("add", Triple("c", "p", 3, "u"), True),
+    ]
+)
+@example([("add_all", [Triple("a", "p", 1, "u"), Triple(None, "p", 2, "u")])])
+@example([("add_all", [Triple("a", "p", 1, "u"), Triple("b", "p", {"x": 1}, "u")])])
+def test_reopen_law(stream):
+    """Every step leaves the durable store equal to the uninterrupted one."""
+    with tempfile.TemporaryDirectory() as directory:
+        run_reopen_law(Path(directory), stream)
 
 
 # -- Peer + served views (the acceptance criterion) --------------------------

@@ -31,7 +31,7 @@ The class says why the function stays although no driver enters it:
 * ``oracle``: a reference implementation that tests compare against
   (a ``*_brute_force`` twin, ``chase``, ``freeze``);
 * ``safety``: recovery and durability (WAL/snapshot recovery, fsync,
-  shard dedupe);
+  torn-tail repair);
 * ``pending(N)``: ROADMAP item N adds the driver that will enter it;
 * ``api``: kept on purpose; the reason says why.
 
